@@ -1,0 +1,7 @@
+"""``python -m pytest perf``: put ``src/`` on the path for ``repro``."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src"))
