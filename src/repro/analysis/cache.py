@@ -5,10 +5,13 @@ re-analyze every module from scratch on every run.  This store makes
 the common case — nothing changed, or one module changed — cheap:
 
 * **whole-tree fast path** — ``tree.json`` records a digest over every
-  module's source plus every pass version.  When it matches, all
-  cached per-module results (and the whole-tree conformance result)
-  are served with *zero* analysis work: no parsing, no call graph, no
-  summary fixpoint.
+  module's source plus every pass version.  The runner reads each
+  source exactly once and hashes it before any AST work; when the
+  digest matches, it loads ``tree.json`` plus one JSON file per module
+  and serves every cached result (the whole-tree conformance result
+  included) with *zero* analysis work: no parse, no call graph, no
+  summary fixpoint.  Only a miss parses, and it parses the very
+  strings that were hashed.
 
 * **per-module keys** — when the tree digest misses, each module's key
   is ``sha256(source + pass versions + own summary digest + each

@@ -127,11 +127,18 @@ def solve_forward(cfg: CFG, init: object, transfer: Transfer,
 
 # -- source-tree walking --------------------------------------------------
 
-def _source_root(root: Optional[Path]) -> Path:
-    if root is not None:
-        return Path(root)
-    import repro
-    return Path(repro.__file__).resolve().parent
+def read_source_tree(root: Optional[Path] = None, package: str = "repro"
+                     ) -> dict[str, tuple[Path, str]]:
+    """``{dotted module: (path, source text)}`` for every source file
+    under *root* (the installed ``repro`` package by default), in path
+    order.  Each file is read exactly once, so whatever is hashed,
+    parsed and split into lines downstream is one version of it."""
+    if root is None:
+        import repro
+        root = Path(repro.__file__).resolve().parent
+    base = Path(root)
+    return {_module_name(base, path, package): (path, path.read_text())
+            for path in sorted(base.rglob("*.py"))}
 
 
 def iter_source_modules(root: Optional[Path] = None,
@@ -139,14 +146,8 @@ def iter_source_modules(root: Optional[Path] = None,
                         ) -> Iterable[tuple[str, Path, ast.AST]]:
     """Yield ``(dotted module, path, parsed AST)`` for every source
     file under *root* (the installed ``repro`` package by default)."""
-    base = _source_root(root)
-    for path in sorted(base.rglob("*.py")):
-        module = _module_name(base, path, package)
-        try:
-            tree = ast.parse(path.read_text(), filename=str(path))
-        except SyntaxError as exc:     # pragma: no cover - tree is valid
-            raise RuntimeError(f"cannot parse {path}: {exc}") from exc
-        yield module, path, tree
+    for module, (path, text) in read_source_tree(root, package).items():
+        yield module, path, ast.parse(text, filename=str(path))
 
 
 # -- baseline (reviewed suppressions) ------------------------------------
@@ -348,7 +349,8 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
 
     With *cache_dir*, results are served incrementally from an
     :class:`repro.analysis.cache.AnalysisCache`: an unchanged tree is
-    a zero-analysis run, and a changed module re-analyzes only itself
+    served after one read and hash of each source, with no parsing or
+    analysis at all, and a changed module re-analyzes only itself
     plus the modules whose summary dependencies it reaches (see the
     cache module docs).  ``report.analyzed`` / ``report.cached`` say
     which modules went which way.  *jobs* fans cold modules out over a
@@ -372,13 +374,15 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
                 name, f"unknown pass (known: "
                       f"{sorted(registry) + ['conformance']})"))
 
+    # Read every source once: the tree digest, the parse, the lines and
+    # the per-module keys all come from this one string per module.
     try:
-        modules = list(iter_source_modules(root, package))
-        sources = {m: path.read_text() for m, path, _tree in modules}
+        files = read_source_tree(root, package)
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
+    sources = {m: text for m, (_path, text) in files.items()}
 
     versions = {n: mp.version for n, mp in registry.items()}
     if "conformance" in names:
@@ -391,20 +395,26 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
         from repro.analysis.cache import AnalysisCache, tree_digest
         cache = AnalysisCache(cache_dir)
         digest = tree_digest(sources, versions)
-        served = _tree_fast_path(cache, digest, names,
-                                 [m for m, _p, _t in modules])
+        served = _tree_fast_path(cache, digest, names, list(sources))
         if served is not None:
             raw_by_source, report.cached = served
             _finish_report(report, raw_by_source, entries)
             return report
 
-    # Cold or partially-warm: build the interprocedural context (call
-    # graph + summaries) — also the source of cache dependency edges.
+    # Cold or partially-warm: parse, then build the interprocedural
+    # context (call graph + summaries) — also the source of cache
+    # dependency edges.
+    try:
+        data = {m: (ast.parse(text, filename=str(path)), text.splitlines())
+                for m, (path, text) in files.items()}
+    except Exception as exc:
+        report.errors.append(AnalysisError(
+            "flow", f"{type(exc).__name__}: {exc}"))
+        return report
     try:
         from repro.analysis import typestate
         ctx = typestate.build_context(
-            (m, tree, sources[m].splitlines())
-            for m, _path, tree in modules)
+            (m, tree, lines) for m, (tree, lines) in data.items())
     except Exception as exc:
         tb = traceback.format_exception_only(type(exc), exc)[-1].strip()
         report.errors.append(AnalysisError("callgraph", tb))
@@ -413,17 +423,15 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     keys: dict[str, str] = {}
     if cache is not None:
         from repro.analysis.cache import module_key
-        own = {m: ctx.summary_digest(m) for m, _p, _t in modules}
+        own = {m: ctx.summary_digest(m) for m in sources}
         mod_versions = {n: registry[n].version for n in registry}
-        for m, _path, _tree in modules:
+        for m, text in sources.items():
             deps = {d: own[d] for d in ctx.dependencies(m) if d in own}
-            keys[m] = module_key(sources[m], mod_versions, own[m], deps)
+            keys[m] = module_key(text, mod_versions, own[m], deps)
 
     raw_by_source: dict[str, list[Finding]] = {}
     to_analyze: list[str] = []
-    data = {m: (tree, sources[m].splitlines())
-            for m, _path, tree in modules}
-    for m, _path, _tree in modules:
+    for m in sources:
         payload = cache.load_module(m, keys[m]) if cache is not None \
             else None
         if payload is not None and all(

@@ -53,7 +53,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.cfg import EXC_EXIT, EXIT, CFGNode, build_cfg, \
     iter_functions
-from repro.analysis.flow import Finding, iter_source_modules, solve_forward
+from repro.analysis.flow import Finding, read_source_tree, solve_forward
 from repro.analysis.layering import _strip
 
 PASS_NAME = "typestate"
@@ -891,11 +891,11 @@ def in_scope(module: str, package: str = "repro") -> bool:
 def run_pass(root: Optional[Path] = None,
              package: str = "repro") -> list[Finding]:
     """Typestate-check every in-scope module with whole-tree context."""
-    modules = list(iter_source_modules(root, package))
-    ctx = build_context(
-        (m, t, p.read_text().splitlines()) for m, p, t in modules)
+    modules = [(m, ast.parse(text, filename=str(path)), text.splitlines())
+               for m, (path, text) in read_source_tree(root, package).items()]
+    ctx = build_context(modules)
     findings: list[Finding] = []
-    for module, _path, tree in modules:
+    for module, tree, _lines in modules:
         if not in_scope(module, package):
             continue
         findings += check_module(module, tree, ctx)

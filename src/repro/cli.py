@@ -483,16 +483,12 @@ def _lint_tree_digest():
     run."""
     try:
         from repro.analysis.cache import tree_digest
-        from repro.analysis.flow import _source_root
-        from repro.analysis.layering import (
-            LINT_VERSION as LAYERING_VERSION,
-            _module_name,
-        )
+        from repro.analysis.flow import read_source_tree
+        from repro.analysis.layering import LINT_VERSION as LAYERING_VERSION
         from repro.analysis.race import LINT_VERSION as RACE_VERSION
 
-        base = _source_root(None)
-        sources = {_module_name(base, path, "repro"): path.read_text()
-                   for path in sorted(base.rglob("*.py"))}
+        sources = {m: text for m, (_path, text)
+                   in read_source_tree().items()}
         return tree_digest(sources,
                            {"lint:layering": LAYERING_VERSION,
                             "lint:race": RACE_VERSION})

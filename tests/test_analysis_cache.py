@@ -4,8 +4,12 @@ and cached runs report the same findings as cold ones."""
 
 from __future__ import annotations
 
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import flow
 from repro.analysis.cache import (
     AnalysisCache, module_key, tree_digest,
 )
@@ -69,6 +73,14 @@ def _mods(names):
     return sorted(n for n in names if not n.startswith("#"))
 
 
+def _forbid_parsing(monkeypatch):
+    """Make any ``ast.parse`` the flow runner reaches raise (patch
+    inside ``monkeypatch.context()``: pytest parses to render errors)."""
+    def parse(*_args, **_kwargs):
+        raise AssertionError("ast.parse called on a warm run")
+    monkeypatch.setattr(flow.ast, "parse", parse)
+
+
 class TestWarmRun:
     def test_second_run_analyzes_zero_modules(self, tree, tmp_path):
         cache = tmp_path / "cache"
@@ -89,17 +101,65 @@ class TestWarmRun:
         assert warm.findings == cold.findings
         assert warm.errors == cold.errors == []
 
-    def test_real_tree_warm_run(self, tmp_path):
+    def test_warm_run_never_parses(self, tree, tmp_path, monkeypatch):
+        """An unchanged tree is served from the digest alone: no
+        module is parsed, so a raising ``ast.parse`` goes unnoticed."""
+        cache = tmp_path / "cache"
+        cold = _run(tree, cache)
+        with monkeypatch.context() as patch:
+            _forbid_parsing(patch)
+            warm = _run(tree, cache)
+        assert warm.errors == []
+        assert warm.analyzed == []
+        assert warm.findings == cold.findings
+
+    def test_real_tree_warm_run(self, tmp_path, monkeypatch):
         """The shipped tree itself: cold populates, warm serves
-        everything from cache and stays clean."""
+        everything from cache without parsing and stays clean."""
         cache = tmp_path / "cache"
         cold = run_flow_passes(cache_dir=cache)
         assert cold.clean and cold.analyzed
-        warm = run_flow_passes(cache_dir=cache)
+        with monkeypatch.context() as patch:
+            _forbid_parsing(patch)
+            warm = run_flow_passes(cache_dir=cache)
         assert warm.clean
         assert warm.analyzed == []
+        assert warm.findings == cold.findings
         assert len(warm.cached) == \
             len(cold.analyzed) + len(cold.cached)
+
+
+class TestOneReadPerFile:
+    """Each source is read once per run, so the text that is hashed
+    into the cache key is the text that was parsed and analyzed."""
+
+    @staticmethod
+    def _count_reads(monkeypatch, tree):
+        reads = Counter()
+        real = Path.read_text
+
+        def read_text(self, *args, **kwargs):
+            if tree in self.parents:
+                reads[self.relative_to(tree).as_posix()] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_text)
+        return reads
+
+    def test_cold_and_warm_read_each_module_once(
+            self, tree, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        reads = self._count_reads(monkeypatch, tree)
+        once = {"__init__.py": 1, "a.py": 1, "b.py": 1, "c.py": 1}
+
+        cold = _run(tree, cache)
+        assert _mods(cold.analyzed) == ["pkg", "pkg.a", "pkg.b", "pkg.c"]
+        assert reads == once
+
+        reads.clear()
+        warm = _run(tree, cache)
+        assert warm.analyzed == []
+        assert reads == once
 
 
 class TestReverseDependencyCone:
