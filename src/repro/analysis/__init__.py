@@ -7,14 +7,17 @@
   pmap/TLB translation is a subset of machine-independent truth;
 * :mod:`repro.analysis.sweeps` — workload sweeps that drive the
   sanitizer across all five pmap architectures;
-* :mod:`repro.analysis.race` — the concurrency sanitizer: may-yield
-  atomicity lint, ``#: guarded-by`` contract, and a vector-clock
-  happens-before checker for TLB shootdown;
+* :mod:`repro.analysis.race` — the concurrency sanitizer: the
+  ``#: guarded-by`` contract (its static lint), the ``atomicity`` flow
+  pass (stale shared state across a may-yield call, judged on the
+  shared call-graph summaries), and a vector-clock happens-before
+  checker for TLB shootdown;
 * :mod:`repro.analysis.schedules` — schedule policies (seeded-random,
   recording/replay) and bounded DFS exploration of interleavings;
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.flow` — the AST→CFG
-  dataflow framework (exception edges, yield points, forward worklist
-  solver) shared by the flow passes;
+  dataflow framework (exception edges, yield points, the one
+  thread-body and yield-primitive rule, forward worklist solver)
+  shared by the flow passes;
 * :mod:`repro.analysis.lifecycle` — resource acquire/release pairing
   along all paths (swap slots, vm_object references, resident pages,
   holding maps, port rights);
@@ -57,8 +60,6 @@ from repro.analysis.race import (
     RaceDetector,
     RaceReport,
     explore_shootdown,
-    lint_atomicity,
-    lint_atomicity_source,
     lint_concurrency,
     lint_guarded_by,
     lint_source_concurrency,
@@ -93,8 +94,6 @@ __all__ = [
     "explore_schedules",
     "explore_shootdown",
     "install_sanitizer",
-    "lint_atomicity",
-    "lint_atomicity_source",
     "lint_concurrency",
     "lint_guarded_by",
     "lint_package",

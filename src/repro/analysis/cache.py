@@ -4,14 +4,16 @@
 re-analyze every module from scratch on every run.  This store makes
 the common case — nothing changed, or one module changed — cheap:
 
-* **whole-tree fast path** — ``tree.json`` records a digest over every
-  module's source plus every pass version.  The runner reads each
-  source exactly once and hashes it before any AST work; when the
-  digest matches, it loads ``tree.json`` plus one JSON file per module
-  and serves every cached result (the whole-tree conformance result
-  included) with *zero* analysis work: no parse, no call graph, no
-  summary fixpoint.  Only a miss parses, and it parses the very
-  strings that were hashed.
+* **whole-tree fast path** — ``tree.json`` records, for each of the
+  last :data:`RECENT_TREES` trees analyzed, a digest over every
+  module's source plus every pass version, and that tree's raw
+  findings.  The runner reads each source exactly once and hashes it
+  before any AST work; when the digest matches a remembered tree, it
+  serves every result (the whole-tree conformance result included)
+  from ``tree.json`` alone with *zero* analysis work: no parse, no
+  call graph, no summary fixpoint.  Remembering several trees means a
+  reverted edit or a deleted probe file is served whole too.  Only a
+  miss parses, and it parses the very strings that were hashed.
 
 * **per-module keys** — when the tree digest misses, each module's key
   is ``sha256(source + pass versions + own summary digest + each
@@ -30,8 +32,9 @@ stored — the next run retries it.
 
 Layout under the cache directory (default ``.repro-cache/``)::
 
-    tree.json             whole-tree digest + conformance findings
+    tree.json             recent tree digests + their raw findings
     modules/<dotted>.json per-module key + per-pass findings
+    lint.json             recent tree digests + layering/concurrency lint
     stats.json            last run's analyzed/cached counters
 """
 
@@ -46,6 +49,9 @@ from typing import Iterable, Optional
 CACHE_FORMAT = "1"
 
 DEFAULT_DIR = Path(".repro-cache")
+
+#: How many trees ``tree.json`` and ``lint.json`` remember.
+RECENT_TREES = 4
 
 
 def _sha(parts: Iterable[str]) -> str:
@@ -99,19 +105,28 @@ class AnalysisCache:
         tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
         tmp.replace(path)
 
-    # -- whole-tree section ---------------------------------------------------
+    # -- whole-tree sections: the last few trees, keyed by digest ------------
 
-    def load_tree(self, digest: str) -> Optional[dict]:
-        """The tree.json payload, when its digest matches."""
-        payload = self._read(self.dir / "tree.json")
-        if payload is not None and payload.get("digest") == digest:
-            return payload
+    def _load_recent(self, name: str, digest: str) -> Optional[dict]:
+        payload = self._read(self.dir / name) or {}
+        for entry in payload.get("trees", ()):
+            if isinstance(entry, dict) and entry.get("digest") == digest:
+                return entry
         return None
 
+    def _store_recent(self, name: str, digest: str, entry: dict) -> None:
+        payload = self._read(self.dir / name) or {}
+        kept = [e for e in payload.get("trees", ())
+                if isinstance(e, dict) and e.get("digest") != digest]
+        self._write(self.dir / name, {"trees": kept[-(RECENT_TREES - 1):]
+                                      + [dict(entry, digest=digest)]})
+
+    def load_tree(self, digest: str) -> Optional[dict]:
+        """The stored whole-tree result for *digest*, if remembered."""
+        return self._load_recent("tree.json", digest)
+
     def store_tree(self, digest: str, payload: dict) -> None:
-        payload = dict(payload)
-        payload["digest"] = digest
-        self._write(self.dir / "tree.json", payload)
+        self._store_recent("tree.json", digest, payload)
 
     # -- per-module section ---------------------------------------------------
 
@@ -122,11 +137,6 @@ class AnalysisCache:
             return payload
         return None
 
-    def load_module_unchecked(self, module: str) -> Optional[dict]:
-        """The module's stored payload regardless of key (the
-        whole-tree fast path has already proven freshness)."""
-        return self._read(self.modules_dir / f"{module}.json")
-
     def store_module(self, module: str, key: str,
                      findings_by_pass: dict[str, list[dict]]) -> None:
         self._write(self.modules_dir / f"{module}.json",
@@ -136,15 +146,12 @@ class AnalysisCache:
 
     def load_lint(self, digest: str) -> Optional[dict]:
         """The cached layering/concurrency lint results (as strings),
-        when their tree digest matches."""
-        payload = self._read(self.dir / "lint.json")
-        if payload is not None and payload.get("digest") == digest:
-            return payload
-        return None
+        when their tree digest is remembered."""
+        return self._load_recent("lint.json", digest)
 
     def store_lint(self, digest: str, violations: list[str]) -> None:
-        self._write(self.dir / "lint.json",
-                    {"digest": digest, "violations": violations})
+        self._store_recent("lint.json", digest,
+                           {"violations": violations})
 
     # -- stats -----------------------------------------------------------------
 

@@ -84,6 +84,7 @@ class FunctionInfo:
     cls: Optional[str]       # enclosing class name, None for plain defs
     func: ast.AST            # the FunctionDef / AsyncFunctionDef node
     params: tuple[str, ...]  # positional parameter names (incl. self)
+    thread_body: bool = False  # preempts at ``yield`` (cfg.is_thread_body)
 
     @property
     def is_method(self) -> bool:
@@ -195,20 +196,23 @@ class CallGraph:
 def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
     """Index every function under *modules* (``(dotted name, tree)``
     pairs) and resolve each function's call sites to candidate fids."""
-    from repro.analysis.cfg import iter_functions
+    from repro.analysis.cfg import is_thread_body, iter_functions, \
+        spawned_names
 
     graph = CallGraph()
     per_module: list[tuple[str, ast.AST]] = list(modules)
     for module, tree in per_module:
         classes = frozenset(n.name for n in ast.walk(tree)
                             if isinstance(n, ast.ClassDef))
+        spawned = spawned_names(tree)
         for qualname, func in iter_functions(tree):
             fid = f"{module}:{qualname}"
             graph._add(FunctionInfo(
                 fid=fid, module=module, qualname=qualname,
                 name=qualname.split(".")[-1],
                 cls=_class_of(qualname, classes), func=func,
-                params=_params_of(func)))
+                params=_params_of(func),
+                thread_body=is_thread_body(func, spawned)))
     for info in graph.functions.values():
         callees: set[str] = set()
         for node in ast.walk(info.func):

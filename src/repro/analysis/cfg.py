@@ -20,7 +20,11 @@ This module turns one Python function body into a small CFG:
   enclosing exception target;
 * nodes whose header contains ``yield``/``yield from``/``await`` are
   flagged (``has_yield``), so passes can treat them as preemption
-  points, matching the concurrency sanitizer's yield discipline.
+  points in thread bodies.
+
+It also holds the one yield model every pass shares: which functions
+are thread bodies (:func:`is_thread_body`) and which calls are yield
+primitives (:func:`is_yield_primitive`).
 
 Two synthetic nodes terminate every CFG: :data:`EXIT` (normal return
 or fall-off-the-end) and :data:`EXC_EXIT` (an exception escaping the
@@ -112,6 +116,85 @@ def _has_yield(exprs: tuple[ast.AST, ...]) -> bool:
             if isinstance(sub, _YIELDING):
                 return True
     return False
+
+
+# -- the one yield model ---------------------------------------------------
+#
+# Every pass that asks "may this yield the CPU?" answers with these
+# rules.  A *thread body* preempts at each ``yield``; an ordinary
+# generator's yields are iteration.  A *yield primitive* is a call that
+# can block the running thread wherever it appears.  Whether a call
+# *reaches* a primitive is the call-graph summaries' ``may_yield``.
+
+#: Entering the fault handler can block the faulting thread on a pager
+#: round trip, so calls into it are preemption points.
+FAULT_ENTRY = frozenset({"vm_fault", "resolve_task_fault"})
+#: ThreadContext methods: they run on the thread's CPU and may fault.
+CTX_METHODS = frozenset({"read", "write", "rmw"})
+
+
+def ctx_params(func: ast.AST) -> frozenset[str]:
+    """Parameters through which *func* receives a ThreadContext: named
+    ``ctx`` or annotated ``ThreadContext``."""
+    names = set()
+    args = func.args
+    for arg in args.posonlyargs + args.args + args.kwonlyargs:
+        ann = arg.annotation
+        if arg.arg == "ctx" \
+                or (isinstance(ann, ast.Name) and ann.id == "ThreadContext") \
+                or (isinstance(ann, ast.Attribute)
+                    and ann.attr == "ThreadContext") \
+                or (isinstance(ann, ast.Constant)
+                    and ann.value == "ThreadContext"):
+            names.add(arg.arg)
+    return frozenset(names)
+
+
+def spawned_names(tree: ast.AST) -> frozenset[str]:
+    """Names passed to ``<scheduler>.spawn(...)`` anywhere in *tree*."""
+    return frozenset(
+        arg.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "spawn"
+        for arg in node.args + [kw.value for kw in node.keywords]
+        if isinstance(arg, ast.Name))
+
+
+def is_thread_body(func: ast.AST, spawned: frozenset[str]) -> bool:
+    """A scheduler thread body: it takes a ThreadContext, or its module
+    hands it to ``.spawn(...)`` by name (*spawned*)."""
+    return bool(ctx_params(func)) or func.name in spawned
+
+
+def ctx_method(call: ast.Call, ctx_names: frozenset[str]) -> Optional[str]:
+    """``m`` for a ``<ctx>.m(...)`` call on a ThreadContext parameter."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+            and func.value.id in ctx_names:
+        return func.attr
+    return None
+
+
+def is_yield_primitive(call: ast.Call, ctx_names: frozenset[str]) -> bool:
+    """A fault entry, or ``read``/``write``/``rmw`` on a ctx parameter."""
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) \
+        else getattr(func, "id", None)
+    return name in FAULT_ENTRY or ctx_method(call, ctx_names) in CTX_METHODS
+
+
+def walk_no_lambda(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` that does not descend into lambdas or nested defs:
+    their bodies do not execute where they are written."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for child in ast.iter_child_nodes(cur):
+            if not isinstance(child, (ast.Lambda, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                stack.append(child)
 
 
 def _header_exprs(stmt: ast.stmt) -> tuple[ast.AST, ...]:

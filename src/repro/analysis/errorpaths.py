@@ -34,13 +34,14 @@ import ast
 from pathlib import Path
 from typing import Optional
 
+from repro.analysis.cfg import is_thread_body, spawned_names
 from repro.analysis.flow import Finding, iter_source_modules
 from repro.analysis.layering import _strip
 
 PASS_NAME = "errorpaths"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "2"
+PASS_VERSION = "3"
 
 #: Packages whose code counts as kernel paths.
 SCOPE = ("core", "pager", "ipc", "fs")
@@ -98,24 +99,6 @@ def _call_tail(call: ast.Call) -> Optional[str]:
     return None
 
 
-def _takes_thread_context(func: ast.AST) -> bool:
-    """True for scheduler thread bodies: a parameter named ``ctx`` or
-    annotated ``ThreadContext`` (the same convention the race pass
-    uses to find preemption points)."""
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        ann = arg.annotation
-        if arg.arg == "ctx" \
-                or (isinstance(ann, ast.Name)
-                    and ann.id == "ThreadContext") \
-                or (isinstance(ann, ast.Attribute)
-                    and ann.attr == "ThreadContext") \
-                or (isinstance(ann, ast.Constant)
-                    and ann.value == "ThreadContext"):
-            return True
-    return False
-
-
 def _annotated(lines: list[str], lineno: int) -> bool:
     """True when the call line, or the contiguous comment block
     directly above it, carries the ``#: no-retry`` annotation."""
@@ -134,7 +117,7 @@ def _annotated(lines: list[str], lineno: int) -> bool:
 
 class _ModuleChecker(ast.NodeVisitor):
     def __init__(self, module: str, source_lines: list[str],
-                 ctx=None) -> None:
+                 spawned: frozenset[str], ctx=None) -> None:
         self.module = module
         self.lines = source_lines
         self.ctx = ctx            # typestate.AnalysisContext or None
@@ -142,6 +125,7 @@ class _ModuleChecker(ast.NodeVisitor):
         self._protected = 0       # depth of try-with-catcher / funnel
         self._scope: list[str] = []
         self._thread_body: list[bool] = []
+        self._spawned = spawned   # thread bodies named to .spawn()
 
     @property
     def _where(self) -> str:
@@ -151,7 +135,7 @@ class _ModuleChecker(ast.NodeVisitor):
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._scope.append(node.name)
-        self._thread_body.append(_takes_thread_context(node))
+        self._thread_body.append(is_thread_body(node, self._spawned))
         self.generic_visit(node)
         self._thread_body.pop()
         self._scope.pop()
@@ -249,7 +233,8 @@ def check_module(module: str, tree: ast.AST,
     """Run the error-path rules over one parsed module.  With a
     :class:`repro.analysis.typestate.AnalysisContext`, calls to
     functions whose summaries propagate transients are checked too."""
-    checker = _ModuleChecker(module, source_lines, ctx)
+    checker = _ModuleChecker(module, source_lines, spawned_names(tree),
+                             ctx)
     checker.visit(tree)
     return checker.findings
 

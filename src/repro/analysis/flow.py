@@ -1,9 +1,10 @@
 """Dataflow pass framework: findings, solver, baseline, runner.
 
-This is the shared machinery behind the five flow passes
+This is the shared machinery behind the six flow passes
 (:mod:`~repro.analysis.lifecycle`, :mod:`~repro.analysis.conformance`,
 :mod:`~repro.analysis.errorpaths`, :mod:`~repro.analysis.determinism`,
-:mod:`~repro.analysis.typestate`):
+:mod:`~repro.analysis.typestate`, and the ``atomicity`` pass in
+:mod:`~repro.analysis.race`):
 
 * :class:`Finding` — one diagnosed problem, printable in the same
   ``module:line: [rule] message`` shape as the layering lint's
@@ -226,7 +227,7 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
     # Imported lazily so a crash importing one pass is reported as an
     # AnalysisError for that pass, not an ImportError killing check.
     from repro.analysis import determinism, errorpaths, lifecycle
-    from repro.analysis import typestate
+    from repro.analysis import race, typestate
     return {
         "lifecycle": _ModulePass(
             lifecycle.PASS_VERSION, lifecycle.in_scope,
@@ -244,11 +245,21 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
             typestate.PASS_VERSION, typestate.in_scope,
             lambda module, tree, lines, ctx:
                 typestate.check_module(module, tree, ctx)),
+        "atomicity": _ModulePass(
+            race.ATOMICITY_VERSION, race.atomicity_in_scope,
+            lambda module, tree, lines, ctx:
+                race.check_atomicity(module, tree, ctx)),
     }
 
 
-FLOW_PASS_NAMES = ("lifecycle", "conformance", "errorpaths",
-                   "determinism", "typestate")
+#: Every pass :func:`run_flow_passes` runs by default, in report order.
+PASS_NAMES = ("lifecycle", "conformance", "errorpaths", "determinism",
+              "typestate", "atomicity")
+
+#: The five passes ``perf/`` times one by one: its per-layer metric
+#: table is keyed on this tuple, so it gains ``atomicity`` together
+#: with that table.
+FLOW_PASS_NAMES = PASS_NAMES[:5]
 
 #: Pseudo-module name for the whole-tree conformance result.
 CONFORMANCE_KEY = "#conformance"
@@ -307,30 +318,17 @@ def _run_conformance() -> list[Finding]:
 
 def _tree_fast_path(cache, digest: str, names: tuple,
                     modules: list) -> Optional[tuple[dict, list]]:
-    """Serve the whole run from cache when the tree digest matches:
-    no parsing, no call graph, no summaries.  Returns (raw findings
-    by source, cached names) or None when anything is missing."""
+    """Serve the whole run from cache when the tree digest is
+    remembered: no parsing, no call graph, no summaries.  Returns (raw
+    findings by source, cached names) or None on a miss."""
     tree_payload = cache.load_tree(digest)
-    if tree_payload is None:
+    if tree_payload is None \
+            or not set(tree_payload.get("passes", ())) >= set(names):
         return None
-    covered = set(tree_payload.get("passes", ()))
-    if not covered >= set(names):
-        return None
-    raw: dict[str, list[Finding]] = {}
-    cached: list[str] = []
-    for module in modules:
-        payload = cache.load_module_unchecked(module)
-        if payload is None:
-            return None
-        found: list[Finding] = []
-        for name in names:
-            found += _findings_from(payload.get("passes", {})
-                                    .get(name, ()))
-        raw[module] = found
-        cached.append(module)
+    raw = {source: [f for f in _findings_from(found) if f.pass_name in names]
+           for source, found in tree_payload.get("findings", {}).items()}
+    cached = list(modules)
     if "conformance" in names:
-        raw[CONFORMANCE_KEY] = _findings_from(
-            tree_payload.get("conformance", ()))
         cached.append(CONFORMANCE_KEY)
     return raw, cached
 
@@ -359,7 +357,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     """
     global _POOL_STATE
     report = FlowReport()
-    names = tuple(passes) if passes is not None else FLOW_PASS_NAMES
+    names = tuple(passes) if passes is not None else PASS_NAMES
     try:
         registry = _module_pass_registry()
         entries = load_baseline(baseline)
@@ -481,21 +479,18 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
 
     if "conformance" in names:
         try:
-            conf = _run_conformance()
-            raw_by_source[CONFORMANCE_KEY] = conf
+            raw_by_source[CONFORMANCE_KEY] = _run_conformance()
             report.analyzed.append(CONFORMANCE_KEY)
         except Exception as exc:
             tb = traceback.format_exception_only(type(exc),
                                                  exc)[-1].strip()
             report.errors.append(AnalysisError("conformance", tb))
-            conf = None
-        if cache is not None and conf is not None \
-                and not report.errors:
-            cache.store_tree(digest, {
-                "passes": sorted(names),
-                "conformance": _finding_dicts(conf)})
-    elif cache is not None and not report.errors:
-        cache.store_tree(digest, {"passes": sorted(names)})
+    if cache is not None and not report.errors:
+        cache.store_tree(digest, {
+            "passes": sorted(names),
+            "findings": {source: _finding_dicts(found)
+                         for source, found in raw_by_source.items()
+                         if found}})
 
     _finish_report(report, raw_by_source, entries)
     return report

@@ -53,7 +53,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 #: Machine-independent packages (relative to the package root).
 MI_PACKAGES = ("core", "pager", "ipc")
@@ -110,11 +110,6 @@ class ImportSite:
     lineno: int
     star: bool           # ``from target import *``
     module_level: bool   # executes at import time (not inside a def)
-
-
-def _iter_py_files(root: Path) -> Iterator[Path]:
-    for path in sorted(root.rglob("*.py")):
-        yield path
 
 
 def _module_name(root: Path, path: Path, package: str) -> str:
@@ -196,14 +191,15 @@ def collect_imports(root: Path, package: str = "repro"
     Modules that fail to parse appear with a single pseudo-site whose
     target is ``"<syntax-error>"`` so the lint can report them.
     """
-    paths = {_module_name(root, path, package): path
-             for path in _iter_py_files(root)}
-    known = set(paths)
+    # Imported here because flow imports this module at load time.
+    from repro.analysis.flow import read_source_tree
+
+    files = read_source_tree(root, package)
+    known = set(files)
     result: dict[str, list[ImportSite]] = {}
-    for module, path in paths.items():
+    for module, (path, text) in files.items():
         try:
-            tree = ast.parse(path.read_text(encoding="utf-8"),
-                             filename=str(path))
+            tree = ast.parse(text, filename=str(path))
         except SyntaxError as exc:
             result[module] = [ImportSite("<syntax-error>",
                                          exc.lineno or 0, False, True)]

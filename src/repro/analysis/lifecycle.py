@@ -43,10 +43,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Optional
 
 from repro.analysis.cfg import (EXC_EXIT, EXIT, CFGNode, build_cfg,
-                                iter_functions)
+                                iter_functions, walk_no_lambda)
 from repro.analysis.flow import Finding, iter_source_modules, solve_forward
 
 PASS_NAME = "lifecycle"
@@ -122,20 +122,6 @@ def _attr_chain(expr: ast.AST) -> list[str]:
         parts.append(expr.id)
         return list(reversed(parts))
     return []
-
-
-def _walk_no_lambda(node: ast.AST) -> Iterator[ast.AST]:
-    """ast.walk that does not descend into lambdas / nested defs —
-    their bodies do not execute at this statement."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
 
 
 def _acquire_kind(value: ast.AST) -> Optional[str]:
@@ -232,7 +218,7 @@ def _call_events(call: ast.Call, standalone: bool) -> list[_Event]:
 
 
 def _names_under(expr: ast.AST) -> list[str]:
-    return [n.id for n in _walk_no_lambda(expr)
+    return [n.id for n in walk_no_lambda(expr)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
 
 
@@ -244,7 +230,7 @@ def _stmt_events(node: CFGNode, summary_events=None
     events: list[_Event] = []
     acquire: Optional[tuple[str, str, int]] = None
 
-    calls = [c for expr in node.exprs for c in _walk_no_lambda(expr)
+    calls = [c for expr in node.exprs for c in walk_no_lambda(expr)
              if isinstance(c, ast.Call)]
     for call in calls:
         # "standalone" = the call IS the whole statement: only then
@@ -291,7 +277,7 @@ def _stmt_events(node: CFGNode, summary_events=None
         events += [_Event("escape", v, line=stmt.lineno)
                    for v in _names_under(stmt.value)]
     elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-        for n in _walk_no_lambda(stmt.target):
+        for n in walk_no_lambda(stmt.target):
             if isinstance(n, ast.Name):
                 events.append(_Event("havoc", n.id, line=stmt.lineno))
     elif isinstance(stmt, ast.Delete):

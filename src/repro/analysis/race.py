@@ -9,25 +9,29 @@ software analogue, MI code caching mutable VM state across a preemption
 point — mechanically checkable, extending the PR-1 sanitizer from
 layering and end-state invariants to *time*.
 
-Static half (stdlib ``ast``, same style as :mod:`.layering`):
+Static half (stdlib ``ast``):
 
-* **may-yield atomicity** — compute which functions can transitively
-  reach a preemption point (a ``yield`` in a thread body,
-  ``ThreadContext.read``/``write``/``rmw``, or fault entry) and flag
-  code that reads shared kernel state, crosses a may-yield call, then
-  writes based on the stale read (rules ``atomicity-hazard`` and
-  ``stale-read-across-yield``).  The kernel funnel modules
+* **guarded-by contract** — :func:`lint_concurrency`.  Shared mutable
+  attributes on ``MachKernel``, ``AddressMap``, ``VMObject`` and
+  ``ResidentPageTable`` are declared with ``#: guarded-by
+  <discipline>`` comments; every mutation outside the owning module is
+  checked against the declared discipline's allow-list (rule
+  ``guarded-by``), external mutation of an undeclared attribute is
+  flagged (``undeclared-shared-mutable``), and a malformed or
+  unattached annotation is itself a violation (``malformed-guard``).
+* **may-yield atomicity** — the ``atomicity`` flow pass
+  (:func:`check_atomicity`, run by
+  :func:`repro.analysis.flow.run_flow_passes`).  It flags code that
+  reads shared kernel state, crosses a preemption point, then writes
+  based on the stale read (rules ``atomicity-hazard`` and
+  ``stale-read-across-yield``).  A call preempts when it is a yield
+  primitive or when a resolved callee's call-graph summary may yield
+  (:mod:`repro.analysis.cfg` holds the one yield model), so the hazard
+  is seen across modules, and the incremental cache re-checks a caller
+  when a callee's summary changes.  The kernel funnel modules
   (``core.kernel``, ``core.fault``, ``core.pageout``) are exempt: they
   run under the map/object locks whose contract the guarded-by half
   checks.
-* **guarded-by contract** — shared mutable attributes on ``MachKernel``,
-  ``AddressMap``, ``VMObject`` and ``ResidentPageTable`` are declared
-  with ``#: guarded-by <discipline>`` comments; every mutation outside
-  the owning module is checked against the declared discipline's
-  allow-list (rule ``guarded-by``), external mutation of an undeclared
-  attribute is flagged (``undeclared-shared-mutable``), and a
-  malformed or unattached annotation is itself a violation
-  (``malformed-guard``).
 
 Dynamic half: :class:`RaceDetector`, a happens-before checker that
 timestamps every pmap/TLB mutation and every TLB-backed access with
@@ -58,11 +62,15 @@ import ast
 import re
 import zlib
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.layering import LintViolation, _module_name, _within
+from repro.analysis.callgraph import FunctionInfo
+from repro.analysis.cfg import ctx_method, ctx_params, \
+    is_yield_primitive, walk_no_lambda
+from repro.analysis.flow import Finding, read_source_tree
+from repro.analysis.layering import LintViolation, _strip, _within
 from repro.analysis.schedules import (
     ExplorationResult,
     RecordingPolicy,
@@ -71,13 +79,14 @@ from repro.analysis.schedules import (
 )
 from repro.analysis.invariants import assert_all
 from repro.analysis.sweeps import SWEEP_ARCHS, _spec
+from repro.analysis.typestate import AnalysisContext, build_context
 from repro.core.kernel import MachKernel
 from repro.core.constants import VMProt
 from repro.pmap.interface import ShootdownStrategy
 from repro.sched.scheduler import Scheduler
 
 # ======================================================================
-# Static half 1/2: the guarded-by contract
+# Static half: the guarded-by contract
 # ======================================================================
 
 #: module (package-relative) -> class names whose ``__init__``
@@ -143,15 +152,15 @@ class GuardDecl:
     lineno: int
 
 
-def _parse_class_guards(source: str, module: str, class_names: Sequence[str]
+def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
+                        class_names: Sequence[str]
                         ) -> tuple[dict[str, dict[str, GuardDecl]],
                                    dict[str, set[str]],
                                    list[LintViolation],
                                    set[int]]:
-    """Parse one guarded module: declarations, full attribute sets,
-    malformed-annotation violations, and consumed annotation lines."""
-    lines = source.splitlines()
-    tree = ast.parse(source)
+    """Read one parsed guarded module (*lines* is its source text):
+    declarations, full attribute sets, malformed-annotation
+    violations, and consumed annotation lines."""
     decls: dict[str, dict[str, GuardDecl]] = {}
     attrs: dict[str, set[str]] = {}
     violations: list[LintViolation] = []
@@ -233,38 +242,41 @@ def lint_guarded_by(root: Path, package: str = "repro",
     """Check every attribute store in the tree against the guarded-by
     declarations; returns all violations (empty list = clean)."""
     guarded = guarded if guarded is not None else GUARDED_CLASSES
+    files = read_source_tree(root, package)
+    trees: dict[str, ast.Module] = {}
+    for module, (path, text) in files.items():
+        try:
+            trees[module] = ast.parse(text, filename=str(path))
+        except SyntaxError:
+            continue   # layering lint already reports syntax errors
     decls: dict[str, dict[str, GuardDecl]] = {}
     attrs: dict[str, set[str]] = {}
     owner_of: dict[str, str] = {}
     violations: list[LintViolation] = []
-    for module, class_names in guarded.items():
-        path = root / (module.replace(".", "/") + ".py")
-        if not path.exists():
+    for rel, class_names in guarded.items():
+        module = f"{package}.{rel}"
+        if module not in files:
             violations.append(LintViolation(
-                f"{package}.{module}", 0, "malformed-guard",
-                f"guarded module {module} not found under {root}"))
+                module, 0, "malformed-guard",
+                f"guarded module {rel} not found under {root}"))
             continue
-        mod_decls, mod_attrs, mod_violations, _ = _parse_class_guards(
-            path.read_text(encoding="utf-8"), f"{package}.{module}",
-            class_names)
-        decls.update(mod_decls)
-        attrs.update(mod_attrs)
-        violations.extend(mod_violations)
+        if module in trees:
+            mod_decls, mod_attrs, mod_violations, _ = _parse_class_guards(
+                trees[module], files[module][1].splitlines(), module,
+                class_names)
+            decls.update(mod_decls)
+            attrs.update(mod_attrs)
+            violations.extend(mod_violations)
         for cls in class_names:
-            owner_of[cls] = module
+            owner_of[cls] = rel
 
     hint_to_classes: dict[str, list[str]] = {}
     for cls in owner_of:
         for hint in RECEIVER_HINTS.get(cls, ()):
             hint_to_classes.setdefault(hint, []).append(cls)
 
-    for path in sorted(root.rglob("*.py")):
-        module = _module_name(root, path, package)
+    for module, tree in trees.items():
         mod_rel = module[len(package) + 1:] if module != package else ""
-        try:
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-        except SyntaxError:
-            continue   # layering lint already reports syntax errors
         for node in ast.walk(tree):
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
@@ -306,181 +318,35 @@ def lint_guarded_by(root: Path, package: str = "repro",
     return violations
 
 
+def lint_concurrency(root: Path, package: str = "repro"
+                     ) -> list[LintViolation]:
+    """The static concurrency lint over a package tree: the guarded-by
+    contract.  (The atomicity rules run as the ``atomicity`` flow
+    pass, on the shared call-graph summaries.)"""
+    return lint_guarded_by(root, package)
+
+
+#: Part of the lint cache key: bump on any rule/behavior change.
+LINT_VERSION = "2"
+
+
+def lint_source_concurrency() -> list[LintViolation]:
+    """Run the concurrency lint on the installed ``repro`` package."""
+    import repro
+    return lint_concurrency(Path(repro.__file__).resolve().parent)
+
+
 # ======================================================================
-# Static half 2/2: may-yield call-graph and atomicity hazards
+# The ``atomicity`` flow pass: shared state across a may-yield call
 # ======================================================================
 
-#: Methods of ``ThreadContext`` that run on the thread's CPU and may
-#: fault / suspend — every call is a preemption point.
-_CTX_METHODS = ("read", "write", "rmw")
-
-#: Entering the fault handler can block the faulting thread (pager
-#: round-trips), so calls into it are preemption points too.
-_FAULT_ENTRY = ("vm_fault", "resolve_task_fault")
+#: Part of the incremental-cache key: bump on any behavior change.
+ATOMICITY_VERSION = "1"
 
 #: Modules exempt from atomicity-hazard *reporting*: the kernel funnel
 #: runs under the map/object locks (checked by the guarded-by half),
 #: so its reads cannot go stale across its own fault entries.
 _ATOMICITY_EXEMPT = ("core.kernel", "core.fault", "core.pageout")
-
-
-def _ctx_params(func: ast.FunctionDef) -> set[str]:
-    """Parameter names through which *func* receives a ThreadContext."""
-    names: set[str] = set()
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        annotation = arg.annotation
-        annotated = (isinstance(annotation, ast.Name)
-                     and annotation.id == "ThreadContext") \
-            or (isinstance(annotation, ast.Attribute)
-                and annotation.attr == "ThreadContext") \
-            or (isinstance(annotation, ast.Constant)
-                and annotation.value == "ThreadContext")
-        if arg.arg == "ctx" or annotated:
-            names.add(arg.arg)
-    return names
-
-
-@dataclass
-class _FunctionInfo:
-    """One function in the may-yield call graph."""
-
-    qualname: str            # "name" or "Class.name"
-    node: ast.FunctionDef
-    ctx_params: set[str]
-    has_primitive: bool = False
-    callees: set[str] = field(default_factory=set)
-
-
-def _iter_functions(tree: ast.Module
-                    ) -> Iterable[tuple[str, ast.FunctionDef]]:
-    """Every function in the module — module-level, methods, and
-    nested (thread bodies are routinely nested in their workload) —
-    with a dotted qualname."""
-    stack: list[tuple[str, ast.AST]] = [("", tree)]
-    while stack:
-        prefix, node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{child.name}"
-                if isinstance(child, ast.FunctionDef):
-                    yield qualname, child
-                stack.append((qualname + ".", child))
-            elif isinstance(child, ast.ClassDef):
-                stack.append((f"{prefix}{child.name}.", child))
-
-
-def _call_name(call: ast.Call) -> Optional[tuple[str, str]]:
-    """Classify a call: ("name", f) for ``f(...)``, ("self", m) for
-    ``self.m(...)``, ("attr:<recv>", m) for ``recv.m(...)``."""
-    func = call.func
-    if isinstance(func, ast.Name):
-        return ("name", func.id)
-    if isinstance(func, ast.Attribute):
-        recv = func.value
-        if isinstance(recv, ast.Name) and recv.id == "self":
-            return ("self", func.attr)
-        if isinstance(recv, ast.Name):
-            return (f"attr:{recv.id}", func.attr)
-        return ("attr:?", func.attr)
-    return None
-
-
-def _is_preemption_call(call: ast.Call, ctx_names: set[str]) -> bool:
-    kind = _call_name(call)
-    if kind is None:
-        return False
-    tag, name = kind
-    if name in _FAULT_ENTRY:
-        return True
-    if name in _CTX_METHODS and tag.startswith("attr:"):
-        recv = tag[5:]
-        return recv in ctx_names
-    return False
-
-
-def _walk_shallow(root: ast.AST) -> Iterable[ast.AST]:
-    """``ast.walk`` without descending into nested function/class
-    definitions — their events belong to the nested scope."""
-    stack: list[ast.AST] = [root]
-    while stack:
-        node = stack.pop()
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef, ast.Lambda)):
-                continue
-            stack.append(child)
-            yield child
-
-
-def _build_call_graph(tree: ast.Module
-                      ) -> tuple[dict[str, _FunctionInfo], set[str]]:
-    """Collect every function, its preemption primitives, and the
-    intra-module call edges.  A plain ``f(...)`` or ``self.m(...)``
-    call resolves (conservatively) to every same-module function whose
-    terminal name matches.  Returns (infos, thread_bodies)."""
-    infos: dict[str, _FunctionInfo] = {}
-    by_name: dict[str, list[str]] = {}
-    for qualname, func in _iter_functions(tree):
-        infos[qualname] = _FunctionInfo(qualname, func, _ctx_params(func))
-        by_name.setdefault(func.name, []).append(qualname)
-    spawned_names = _spawned_names(tree)
-    thread_bodies = {
-        qualname for qualname, info in infos.items()
-        if info.ctx_params
-        or info.node.name in spawned_names
-    }
-    for qualname, info in infos.items():
-        is_thread_body = qualname in thread_bodies
-        for node in _walk_shallow(info.node):
-            if isinstance(node, (ast.Yield, ast.YieldFrom)):
-                # A bare generator helper's yields are iteration, not
-                # preemption; only thread bodies preempt at yield.
-                if is_thread_body:
-                    info.has_primitive = True
-            elif isinstance(node, ast.Call):
-                if _is_preemption_call(node, info.ctx_params):
-                    info.has_primitive = True
-                kind = _call_name(node)
-                if kind is None:
-                    continue
-                tag, name = kind
-                if tag in ("name", "self"):
-                    for candidate in by_name.get(name, ()):
-                        if candidate != qualname:
-                            info.callees.add(candidate)
-    return infos, thread_bodies
-
-
-def _spawned_names(tree: ast.Module) -> set[str]:
-    """Function names passed to ``<scheduler>.spawn(task, body)`` —
-    thread bodies even when their parameter is not named ``ctx``."""
-    spawned: set[str] = set()
-    for node in ast.walk(tree):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "spawn"):
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                if isinstance(arg, ast.Name):
-                    spawned.add(arg.id)
-    return spawned
-
-
-def _may_yield_set(infos: dict[str, _FunctionInfo]) -> set[str]:
-    """Fixpoint: a function may yield when it has a primitive or calls
-    (transitively, within the module) something that does."""
-    may_yield = {q for q, info in infos.items() if info.has_primitive}
-    changed = True
-    while changed:
-        changed = False
-        for qualname, info in infos.items():
-            if qualname in may_yield:
-                continue
-            if info.callees & may_yield:
-                may_yield.add(qualname)
-                changed = True
-    return may_yield
-
 
 #: Attributes treated as shared kernel state by the atomicity scan:
 #: everything the guarded classes own, plus map-entry fields.
@@ -493,23 +359,25 @@ _SHARED_STATE_ATTRS = frozenset({
 })
 
 
-def _linearize(func: ast.FunctionDef, ctx_names: set[str],
-               may_yield_names: set[str],
-               is_thread_body: bool) -> list[tuple]:
-    """Flatten *func* into source-ordered events for the hazard scan.
+def _linearize(info: FunctionInfo, ctx: AnalysisContext) -> list[tuple]:
+    """Flatten one function into source-ordered events for the hazard
+    scan.
 
     Event shapes: ``("read", attr, line)``, ``("write", attr, line)``,
     ``("preempt", line)``, ``("ctx-read", local, line)``,
-    ``("ctx-write", arg_names, line)``.  Control flow is linearized
-    (all branches in order) — a deliberate over-approximation for a
-    lint.
+    ``("ctx-write", arg_names, line)``.  A call preempts when it is a
+    yield primitive or any resolved callee's summary may yield; a
+    ``yield`` preempts only in a thread body.  Control flow is
+    linearized (all branches in order) — a deliberate
+    over-approximation for a lint.
     """
+    ctx_names = ctx_params(info.func)
     events: list[tuple] = []
-    for node in _walk_shallow(func):
+    for node in walk_no_lambda(info.func):
         line = getattr(node, "lineno", 0)
         if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            if is_thread_body:
-                events.append(("preempt", line, "yield"))
+            if info.thread_body:
+                events.append(("preempt", line))
         elif isinstance(node, ast.Attribute):
             if node.attr not in _SHARED_STATE_ATTRS:
                 continue
@@ -518,18 +386,11 @@ def _linearize(func: ast.FunctionDef, ctx_names: set[str],
             elif isinstance(node.ctx, (ast.Store, ast.Del)):
                 events.append(("write", node.attr, line))
         elif isinstance(node, ast.Call):
-            kind = _call_name(node)
-            if kind is None:
-                continue
-            tag, name = kind
-            preempts = _is_preemption_call(node, ctx_names)
-            if not preempts and tag in ("name", "self"):
-                preempts = name in may_yield_names
-            if preempts:
-                events.append(("preempt", line,
-                               f"call to {name}"))
-            if (tag.startswith("attr:") and tag[5:] in ctx_names
-                    and name in ("write", "rmw")):
+            if is_yield_primitive(node, ctx_names) or any(
+                    summary.may_yield
+                    for _fid, summary in ctx.lookup(node, info)):
+                events.append(("preempt", line))
+            if ctx_method(node, ctx_names) in ("write", "rmw"):
                 # Collect names *anywhere* in the argument expressions:
                 # ``ctx.write(addr, bytes([v + 1]))`` writes a value
                 # derived from ``v`` just as surely as passing it bare.
@@ -543,28 +404,24 @@ def _linearize(func: ast.FunctionDef, ctx_names: set[str],
             # ``v = ctx.read(a, 1)`` — unwrap subscripting.
             while isinstance(value, ast.Subscript):
                 value = value.value
-            if (isinstance(value, ast.Call)):
-                kind = _call_name(value)
-                if (kind and kind[0].startswith("attr:")
-                        and kind[0][5:] in ctx_names
-                        and kind[1] in ("read", "rmw")):
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            events.append(("ctx-read", target.id,
-                                           node.lineno))
+            if isinstance(value, ast.Call) \
+                    and ctx_method(value, ctx_names) in ("read", "rmw"):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        events.append(("ctx-read", target.id,
+                                       node.lineno))
     # Same-line ordering: argument reads happen before the call
     # preempts, a value assigned *from* a ctx read is fresh after its
     # own preemption point, and attribute stores land last.
     rank = {"read": 0, "ctx-write": 1, "preempt": 2, "ctx-read": 3,
             "write": 4}
-    events.sort(key=lambda e: (e[1] if e[0] == "preempt" else e[-1],
-                               rank[e[0]]))
+    events.sort(key=lambda e: (e[-1], rank[e[0]]))
     return events
 
 
 def _scan_function(module: str, qualname: str,
-                   events: list[tuple]) -> list[LintViolation]:
-    violations: list[LintViolation] = []
+                   events: list[tuple]) -> list[Finding]:
+    findings: list[Finding] = []
     read_at: dict[str, int] = {}
     stale: dict[str, tuple[int, int]] = {}
     local_read_at: dict[str, int] = {}
@@ -572,7 +429,7 @@ def _scan_function(module: str, qualname: str,
     for event in events:
         kind = event[0]
         if kind == "preempt":
-            _, line, why = event
+            line = event[1]
             for attr, rline in read_at.items():
                 stale.setdefault(attr, (rline, line))
             read_at.clear()
@@ -586,12 +443,13 @@ def _scan_function(module: str, qualname: str,
             _, attr, line = event
             if attr in stale:
                 rline, pline = stale[attr]
-                violations.append(LintViolation(
-                    module, line, "atomicity-hazard",
-                    f"{qualname} reads shared '.{attr}' at line "
-                    f"{rline}, may yield at line {pline}, then writes "
-                    f"'.{attr}' at line {line} — the read can be stale "
-                    f"by the time the write lands"))
+                findings.append(Finding(
+                    "atomicity", module, line, "atomicity-hazard",
+                    qualname,
+                    f"reads shared '.{attr}' at line {rline}, may yield "
+                    f"at line {pline}, then writes '.{attr}' at line "
+                    f"{line} — the read can be stale by the time the "
+                    f"write lands"))
             stale.pop(attr, None)
             read_at.pop(attr, None)
         elif kind == "ctx-read":
@@ -603,68 +461,37 @@ def _scan_function(module: str, qualname: str,
             for name in args:
                 if name in stale_locals:
                     rline, pline = stale_locals[name]
-                    violations.append(LintViolation(
-                        module, line, "stale-read-across-yield",
-                        f"{qualname} writes value {name!r} read from "
-                        f"memory at line {rline} after a preemption "
-                        f"point at line {pline} — a lost update under "
-                        f"any schedule that interleaves there"))
-    return violations
+                    findings.append(Finding(
+                        "atomicity", module, line,
+                        "stale-read-across-yield", qualname,
+                        f"writes value {name!r} read from memory at "
+                        f"line {rline} after a preemption point at line "
+                        f"{pline} — a lost update under any schedule "
+                        f"that interleaves there"))
+    return findings
 
 
-def lint_atomicity_source(source: str, module: str = "<snippet>"
-                          ) -> list[LintViolation]:
-    """May-yield atomicity lint for one module's source text."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError as exc:
-        return [LintViolation(module, exc.lineno or 0, "syntax-error",
-                              "module failed to parse")]
-    infos, thread_bodies = _build_call_graph(tree)
-    may_yield = _may_yield_set(infos)
-    may_yield_names = {infos[q].node.name for q in may_yield}
-    violations: list[LintViolation] = []
-    for qualname, info in infos.items():
-        if qualname not in may_yield:
-            continue
-        events = _linearize(info.node, info.ctx_params, may_yield_names,
-                            qualname in thread_bodies)
-        violations.extend(_scan_function(module, qualname, events))
-    violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
-    return violations
+def check_atomicity(module: str, tree: ast.AST,
+                    ctx: Optional[AnalysisContext] = None
+                    ) -> list[Finding]:
+    """Atomicity-check one module (rules ``atomicity-hazard`` and
+    ``stale-read-across-yield``).  Without *ctx*, a module-local
+    context is built, so only same-module callees are seen."""
+    if ctx is None:
+        ctx = build_context([(module, tree, None)])
+    findings: list[Finding] = []
+    for info in ctx.graph.functions.values():
+        if info.module == module:
+            findings += _scan_function(module, info.qualname,
+                                       _linearize(info, ctx))
+    return sorted(findings, key=lambda f: (f.lineno, f.rule))
 
 
-def lint_atomicity(root: Path, package: str = "repro"
-                   ) -> list[LintViolation]:
-    """May-yield atomicity lint over a package tree."""
-    violations: list[LintViolation] = []
-    for path in sorted(root.rglob("*.py")):
-        module = _module_name(root, path, package)
-        mod_rel = module[len(package) + 1:] if module != package else ""
-        if any(_within(mod_rel, exempt) for exempt in _ATOMICITY_EXEMPT):
-            continue
-        violations.extend(lint_atomicity_source(
-            path.read_text(encoding="utf-8"), module))
-    return violations
-
-
-def lint_concurrency(root: Path, package: str = "repro"
-                     ) -> list[LintViolation]:
-    """The full static concurrency lint: guarded-by + atomicity."""
-    violations = lint_guarded_by(root, package)
-    violations.extend(lint_atomicity(root, package))
-    violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
-    return violations
-
-
-#: Part of the lint cache key: bump on any rule/behavior change.
-LINT_VERSION = "1"
-
-
-def lint_source_concurrency() -> list[LintViolation]:
-    """Run the concurrency lint on the installed ``repro`` package."""
-    import repro
-    return lint_concurrency(Path(repro.__file__).resolve().parent)
+def atomicity_in_scope(module: str, package: str = "repro") -> bool:
+    """Every module but the kernel funnel."""
+    inner = _strip(module, package)
+    return inner is not None and not any(
+        _within(inner, exempt) for exempt in _ATOMICITY_EXEMPT)
 
 
 # ======================================================================

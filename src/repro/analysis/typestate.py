@@ -52,7 +52,7 @@ from repro.analysis.callgraph import (
     _attr_chain, build_callgraph, compute_summaries,
 )
 from repro.analysis.cfg import EXC_EXIT, EXIT, CFGNode, build_cfg, \
-    iter_functions
+    ctx_params, is_yield_primitive, iter_functions, walk_no_lambda
 from repro.analysis.flow import Finding, read_source_tree, solve_forward
 from repro.analysis.layering import _strip
 
@@ -60,7 +60,7 @@ PASS_NAME = "typestate"
 
 #: Bumped when the pass logic changes: part of every cache key, so a
 #: new rule invalidates stale cached results.
-PASS_VERSION = "1"
+PASS_VERSION = "2"
 
 #: Top-level repro subpackages outside the simulated kernel: protocol
 #: ops never originate there, and analysis tooling talking *about*
@@ -232,12 +232,6 @@ _PAGE_OPS = {"free": "page-free", "activate": "page-activate",
              "unwire": "page-unwire", "insert": "page-touch",
              "remove": "page-touch", "rename": "page-touch"}
 
-#: Entering the fault handler can block on a pager round-trip; every
-#: ThreadContext memory access is a preemption point (same seeds as the
-#: race.py atomicity lint, now propagated across module boundaries).
-_FAULT_ENTRY = ("vm_fault", "resolve_task_fault")
-_CTX_METHODS = ("read", "write", "rmw")
-
 _ESCAPING_METHODS = {"append", "add", "insert", "setdefault", "put",
                      "push", "register", "extend", "appendleft"}
 
@@ -309,45 +303,6 @@ def classify_acquire(value: ast.AST,
     return None
 
 
-def _ctx_param_names(func: ast.AST) -> frozenset[str]:
-    names = set()
-    for arg in (list(func.args.posonlyargs) + list(func.args.args)
-                + list(func.args.kwonlyargs)):
-        ann = arg.annotation
-        if arg.arg == "ctx" \
-                or (isinstance(ann, ast.Name)
-                    and ann.id == "ThreadContext") \
-                or (isinstance(ann, ast.Attribute)
-                    and ann.attr == "ThreadContext") \
-                or (isinstance(ann, ast.Constant)
-                    and ann.value == "ThreadContext"):
-            names.add(arg.arg)
-    return frozenset(names)
-
-
-def _is_yield_primitive(call: ast.Call,
-                        ctx_params: frozenset[str]) -> bool:
-    chain = _attr_chain(call.func)
-    if not chain:
-        return False
-    if chain[-1] in _FAULT_ENTRY:
-        return True
-    return (len(chain) == 2 and chain[0] in ctx_params
-            and chain[1] in _CTX_METHODS)
-
-
-def _walk_no_lambda(node: ast.AST):
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                  ast.AsyncFunctionDef)):
-                continue
-            stack.append(child)
-
-
 # -- dataflow facts ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -412,7 +367,8 @@ class _FunctionEngine:
         self.escaped: set[str] = set()
         self.saw_yield = False
         self._reporting = False
-        self._ctx_params = _ctx_param_names(func)
+        self._ctx_params = ctx_params(func)
+        self._thread_body = info is not None and info.thread_body
         self._cls = info.cls if info is not None else None
 
     # -- reporting ----------------------------------------------------------
@@ -516,7 +472,7 @@ class _FunctionEngine:
 
     def _transfer(self, node: CFGNode,
                   state: _State) -> tuple[_State, _State]:
-        calls = [c for expr in node.exprs for c in _walk_no_lambda(expr)
+        calls = [c for expr in node.exprs for c in walk_no_lambda(expr)
                  if isinstance(c, ast.Call)]
 
         # Dead-state uses are judged on the state *entering* the
@@ -525,9 +481,9 @@ class _FunctionEngine:
 
         after = dict(state)
         # A bare generator helper's yields are iteration, not
-        # preemption; only thread bodies (ctx-taking functions)
-        # preempt at yield — same rule as the race.py atomicity lint.
-        stmt_yields = node.has_yield and bool(self._ctx_params)
+        # preemption; only thread bodies preempt at yield
+        # (cfg.is_thread_body, the rule every pass shares).
+        stmt_yields = node.has_yield and self._thread_body
 
         for call in calls:
             direct = classify_call(call, self._cls)
@@ -541,8 +497,8 @@ class _FunctionEngine:
                 fact = after.get(var)
                 if fact is not None and fact.state != TOP:
                     after[var] = _Fact(fact.proto, TOP, fact.line)
-            if callee_yields or _is_yield_primitive(call,
-                                                    self._ctx_params):
+            if callee_yields or is_yield_primitive(call,
+                                                   self._ctx_params):
                 stmt_yields = True
 
         if stmt_yields:
@@ -571,7 +527,7 @@ class _FunctionEngine:
                 else:
                     out.pop(target.id, None)
             elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                for n in _walk_no_lambda(stmt.value):
+                for n in walk_no_lambda(stmt.value):
                     if isinstance(n, ast.Name) \
                             and isinstance(n.ctx, ast.Load):
                         self.escaped.add(n.id)
@@ -586,7 +542,7 @@ class _FunctionEngine:
             out.pop(stmt.target.id, None)
         elif isinstance(stmt, (ast.For, ast.AsyncFor)):
             out = dict(state)
-            for n in _walk_no_lambda(stmt.target):
+            for n in walk_no_lambda(stmt.target):
                 if isinstance(n, ast.Name):
                     out.pop(n.id, None)
         elif isinstance(stmt, ast.Delete):
@@ -634,7 +590,7 @@ class _FunctionEngine:
         if not dead:
             return
         for expr in node.exprs:
-            for sub in _walk_no_lambda(expr):
+            for sub in walk_no_lambda(expr):
                 if not isinstance(sub, ast.Attribute) \
                         or not isinstance(sub.value, ast.Name):
                     continue
@@ -747,7 +703,7 @@ def _function_propagates(info: FunctionInfo, lines: Optional[list[str]],
     def scan(expr: ast.AST, protected: int) -> bool:
         if protected:
             return False
-        for sub in _walk_no_lambda(expr):
+        for sub in walk_no_lambda(expr):
             if not isinstance(sub, ast.Call):
                 continue
             tail = _call_tail(sub)

@@ -508,7 +508,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         run_sweeps,
     )
     from repro.analysis.cache import DEFAULT_DIR, AnalysisCache
-    from repro.analysis.flow import FLOW_PASS_NAMES
+    from repro.analysis.flow import PASS_NAMES
     from repro.analysis.report import render_report
     from repro.analysis.sweeps import SWEEP_ARCHS
 
@@ -538,8 +538,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         print("layering lint: checking the MD/MI import contract ...")
         violations = guarded("layering lint", lint_source_tree)
-        print("concurrency lint: may-yield atomicity + guarded-by "
-              "contract ...")
+        print("concurrency lint: guarded-by contract ...")
         violations += guarded("concurrency lint",
                               lint_source_concurrency)
         lint_lines = [str(v) for v in violations]
@@ -551,7 +550,7 @@ def cmd_check(args: argparse.Namespace) -> int:
                 lint_cache.store_lint(lint_digest, lint_lines)
             except OSError:
                 pass
-    print("flow passes: " + ", ".join(FLOW_PASS_NAMES) + " ...")
+    print("flow passes: " + ", ".join(PASS_NAMES) + " ...")
     try:
         flow = run_flow_passes(cache_dir=cache_dir, jobs=args.jobs)
     except Exception as exc:

@@ -68,3 +68,15 @@ class ShootdownBeforeYield:
         self._strip(pmap, start, end)
         ctx.read(start)                 # shootdown-before-yield
         self.system.shootdown(pmap, start, end)
+
+
+def spawned_body_workload(sched, task, system, pmap, s, e):
+    """The thread body takes no ctx parameter: it is one because it is
+    handed to ``sched.spawn``, so its bare ``yield`` preempts."""
+
+    def body(c):
+        pmap.remove(s, e, shoot=False)
+        yield                           # shootdown-before-yield
+        system.shootdown(pmap, s, e)
+
+    sched.spawn(task, body)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis import flow
 from repro.analysis.cache import (
-    AnalysisCache, module_key, tree_digest,
+    RECENT_TREES, AnalysisCache, module_key, tree_digest,
 )
 from repro.analysis.flow import run_flow_passes
 
@@ -191,6 +191,30 @@ class TestReverseDependencyCone:
         report = _run(tree, cache)
         assert _mods(report.analyzed) == ["pkg.a"]
         assert _mods(report.cached) == ["pkg", "pkg.b", "pkg.c"]
+
+
+class TestRecentTrees:
+    def test_reverted_edit_is_served_whole(self, tree, tmp_path):
+        """The fast path remembers recent trees: after an edit and its
+        revert, the original tree is served without any analysis."""
+        cache = tmp_path / "cache"
+        cold = _run(tree, cache)
+        (tree / "a.py").write_text(A_EDITED)
+        assert _mods(_run(tree, cache).analyzed) == ["pkg.a", "pkg.b"]
+        (tree / "a.py").write_text(A_SRC)
+
+        back = _run(tree, cache)
+        assert back.analyzed == []
+        assert back.findings == cold.findings
+
+    def test_only_the_latest_trees_are_remembered(self, tmp_path):
+        cache = AnalysisCache(tmp_path / "c")
+        digests = [f"d{i}" for i in range(RECENT_TREES + 2)]
+        for digest in digests:
+            cache.store_tree(digest, {"passes": [digest]})
+        assert [cache.load_tree(d) is not None for d in digests] \
+            == [False, False] + [True] * RECENT_TREES
+        assert cache.load_tree(digests[-1])["passes"] == [digests[-1]]
 
 
 class TestKeying:

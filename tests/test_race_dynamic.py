@@ -18,6 +18,7 @@ Three demonstrations anchor the suite:
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 import pytest
@@ -26,8 +27,8 @@ from repro.analysis.race import (
     DEFAULT_SEED,
     RaceDetector,
     cell_seed,
+    check_atomicity,
     explore_shootdown,
-    lint_atomicity_source,
     run_race_cell,
 )
 from repro.analysis.schedules import (
@@ -90,13 +91,13 @@ class TestLostUpdate:
     def test_static_lint_flags_the_body(self):
         """The atomicity lint points at exactly this bug class: the
         value crosses a yield between its read and its write."""
-        violations = lint_atomicity_source(
-            Path(__file__).read_text(encoding="utf-8"),
-            module="tests.test_race_dynamic")
-        stale = [v for v in violations
-                 if v.rule == "stale-read-across-yield"
-                 and "bump" in v.message]
-        assert len(stale) >= 2, violations
+        findings = check_atomicity(
+            "tests.test_race_dynamic",
+            ast.parse(Path(__file__).read_text(encoding="utf-8")))
+        stale = [f for f in findings
+                 if f.rule == "stale-read-across-yield"
+                 and "bump" in f.where]
+        assert len(stale) >= 2, findings
 
 
 # ======================================================================

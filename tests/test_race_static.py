@@ -1,19 +1,20 @@
 """The static half of the concurrency sanitizer: the ``#: guarded-by``
-contract, the may-yield atomicity lint, and the hook-inversion
-layering rule — each proven able to fail on synthetic violations, and
-the real source tree proven clean."""
+contract, the ``atomicity`` flow pass, and the hook-inversion layering
+rule — each proven able to fail on synthetic violations, and the real
+source tree proven clean."""
 
 from __future__ import annotations
 
+import ast
 import textwrap
 
 import pytest
 
+from repro.analysis.flow import run_flow_passes
 from repro.analysis.layering import lint_package
 from repro.analysis.race import (
     DISCIPLINES,
     GUARDED_CLASSES,
-    lint_atomicity_source,
     lint_concurrency,
     lint_guarded_by,
     lint_source_concurrency,
@@ -29,6 +30,21 @@ def _write_tree(root, files: dict[str, str]) -> None:
 
 def _rules(violations):
     return {v.rule for v in violations}
+
+
+def _atomicity(root, cache_dir=None):
+    """Run the ``atomicity`` flow pass over the package at *root*."""
+    return run_flow_passes(root, "pkg", passes=("atomicity",),
+                           cache_dir=cache_dir)
+
+
+def _atomicity_of(tmp_path, source: str):
+    """Findings of the ``atomicity`` pass on a one-module package."""
+    root = tmp_path / "pkg"
+    _write_tree(root, {"__init__.py": "", "mod.py": source})
+    report = _atomicity(root)
+    assert report.errors == []
+    return report.findings
 
 
 GUARDED = {"core.vm_object": ("VMObject",)}
@@ -158,7 +174,7 @@ class TestGuardAnnotationParser:
 
 
 class TestAtomicityLint:
-    def test_stale_local_across_yield_flagged(self):
+    def test_stale_local_across_yield_flagged(self, tmp_path):
         src = """
             def workload(sched, task, addr):
                 def bump(ctx):
@@ -167,10 +183,10 @@ class TestAtomicityLint:
                     ctx.write(addr, bytes([v + 1]))
                 sched.spawn(task, bump)
             """
-        violations = lint_atomicity_source(textwrap.dedent(src))
+        violations = _atomicity_of(tmp_path, src)
         assert "stale-read-across-yield" in _rules(violations)
 
-    def test_straight_line_rmw_is_clean(self):
+    def test_straight_line_rmw_is_clean(self, tmp_path):
         src = """
             def workload(sched, task, addr):
                 def bump(ctx):
@@ -179,9 +195,9 @@ class TestAtomicityLint:
                     yield
                 sched.spawn(task, bump)
             """
-        assert lint_atomicity_source(textwrap.dedent(src)) == []
+        assert _atomicity_of(tmp_path, src) == []
 
-    def test_shared_attr_across_maybe_yield_call_flagged(self):
+    def test_shared_attr_across_maybe_yield_call_flagged(self, tmp_path):
         # The hazard travels through the call graph: ``resize`` never
         # yields itself, but it calls something that does.
         src = """
@@ -193,11 +209,11 @@ class TestAtomicityLint:
                 touch(ctx, addr)
                 obj.size = n + 1
             """
-        violations = lint_atomicity_source(textwrap.dedent(src))
+        violations = _atomicity_of(tmp_path, src)
         assert "atomicity-hazard" in _rules(violations)
         assert "'.size'" in violations[0].message
 
-    def test_rewrite_between_read_and_write_is_clean(self):
+    def test_rewrite_between_read_and_write_is_clean(self, tmp_path):
         src = """
             def touch(ctx, addr):
                 ctx.read(addr, 1)
@@ -207,9 +223,9 @@ class TestAtomicityLint:
                 obj.size = n + 1
                 touch(ctx, addr)
             """
-        assert lint_atomicity_source(textwrap.dedent(src)) == []
+        assert _atomicity_of(tmp_path, src) == []
 
-    def test_generator_helper_yield_is_not_preemption(self):
+    def test_generator_helper_yield_is_not_preemption(self, tmp_path):
         # Only thread bodies preempt at yield; an ordinary generator's
         # yields are iteration.
         src = """
@@ -218,11 +234,59 @@ class TestAtomicityLint:
                 yield n
                 obj.size = n
             """
-        assert lint_atomicity_source(textwrap.dedent(src)) == []
+        assert _atomicity_of(tmp_path, src) == []
 
-    def test_syntax_error_reported_not_raised(self):
-        assert _rules(lint_atomicity_source("def f(:\n")) \
-            == {"syntax-error"}
+    def test_syntax_error_reported_not_raised(self, tmp_path):
+        root = tmp_path / "pkg"
+        _write_tree(root, {"__init__.py": "", "mod.py": "def f(:\n"})
+        report = _atomicity(root)
+        assert not report.clean
+        assert "SyntaxError" in report.errors[0].message
+
+
+#: Two modules: ``touch`` yields in ``a``; ``b`` calls it between a
+#: read and a write of ``.size``.  Only a tree-wide call graph sees it.
+CROSS_A = """
+    def touch(ctx, addr):
+        ctx.read(addr, 1)
+    """
+
+CROSS_B = """
+    from pkg.a import touch
+
+    def resize(ctx, obj, addr):
+        n = obj.size
+        touch(ctx, addr)
+        obj.size = n + 1
+    """
+
+
+class TestAtomicityAcrossModules:
+    @pytest.fixture
+    def pkg(self, tmp_path):
+        root = tmp_path / "pkg"
+        _write_tree(root, {"__init__.py": "", "a.py": CROSS_A,
+                           "b.py": CROSS_B})
+        return root
+
+    def test_hazard_through_an_imported_callee(self, pkg, tmp_path):
+        report = _atomicity(pkg, tmp_path / "cache")
+        assert [(f.module, f.rule, f.where) for f in report.findings] \
+            == [("pkg.b", "atomicity-hazard", "resize")]
+
+    def test_callee_edit_reanalyzes_the_caller(self, pkg, tmp_path):
+        """``b``'s cached result depends on ``a.touch``'s may-yield
+        summary: editing ``touch`` so it no longer yields must
+        re-analyze ``b`` and retire the finding."""
+        cache = tmp_path / "cache"
+        assert _atomicity(pkg, cache).findings
+        (pkg / "a.py").write_text(
+            "def touch(ctx, addr):\n    return addr\n")
+
+        edited = _atomicity(pkg, cache)
+        assert "pkg.b" in edited.analyzed
+        assert edited.findings == []
+        assert _atomicity(pkg, cache).analyzed == []
 
 
 class TestHookInversionRule:
@@ -277,8 +341,9 @@ class TestRealTree:
         used = set()
         for module, classes in GUARDED_CLASSES.items():
             path = root / (module.replace(".", "/") + ".py")
+            source = path.read_text(encoding="utf-8")
             decls, _, bad, _ = _parse_class_guards(
-                path.read_text(encoding="utf-8"), module, classes)
+                ast.parse(source), source.splitlines(), module, classes)
             assert bad == []
             for per_class in decls.values():
                 used |= {d.discipline for d in per_class.values()}
@@ -288,6 +353,9 @@ class TestRealTree:
         assert {"object-lock", "map-lock"} <= used
 
     def test_lint_concurrency_combines_both_halves(self, tmp_path):
+        """One miniature tree, both halves of the static check: the
+        guarded-by lint flags the store, the atomicity pass the stale
+        read."""
         root = tmp_path / "pkg"
         _write_tree(root, {
             "__init__.py": "",
@@ -311,6 +379,6 @@ class TestRealTree:
                     sched.spawn(task, bump)
                 """,
         })
-        rules = _rules(lint_concurrency(root, "pkg"))
-        # One pass surfaces violations from both halves.
-        assert {"guarded-by", "stale-read-across-yield"} <= rules
+        assert _rules(lint_concurrency(root, "pkg")) == {"guarded-by"}
+        assert _rules(_atomicity(root).findings) \
+            == {"stale-read-across-yield"}

@@ -67,6 +67,12 @@ class TestKnownBadFixtures:
         assert ("shootdown-before-yield", "ShootdownBeforeYield.run") \
             in _rules(self._findings())
 
+    def test_shootdown_before_yield_in_spawned_body(self):
+        """A body handed to ``sched.spawn`` is a thread body whatever
+        its parameter is called: its bare ``yield`` preempts."""
+        assert ("shootdown-before-yield",
+                "spawned_body_workload.body") in _rules(self._findings())
+
     def test_messages_name_variable_and_origin_line(self):
         findings = self._findings()
         (uaf,) = [f for f in findings
