@@ -4,11 +4,10 @@ The report used to be bare finding lines; consumers that diff reports
 across PRs broke whenever a pass was added.  The format is now JSON
 with an explicit ``schema_version``; findings are sorted by
 ``(file, line, rule)`` so two clean runs produce byte-identical
-reports.  :func:`load_report` is the matching consumer, built the way
-``bench/compare.py`` reads the BENCH series: every field is optional,
-a missing section reads as empty, and the pre-JSON plain-text format
-still loads (one problem string per line) — a consumer must tolerate
-reports both older and newer than itself.
+reports.  :func:`load_report` is the matching consumer: every field
+is optional, a missing section reads as empty, and the pre-JSON
+plain-text format still loads (one problem string per line) — a
+consumer must tolerate reports both older and newer than itself.
 """
 
 from __future__ import annotations

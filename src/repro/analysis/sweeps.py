@@ -30,23 +30,20 @@ from repro.analysis.invariants import (
     install_sanitizer,
     uninstall_sanitizer,
 )
-from repro.bench.testing import make_spec
+from repro.bench.testing import BENCH_ARCHS, make_spec
 from repro.bench.workloads import MachSUT, measure_fork, measure_zero_fill
 from repro.core.constants import FaultType, VMProt
 from repro.core.kernel import MachKernel
 from repro.pmap.interface import ShootdownStrategy
 
 KB = 1024
-MB = 1024 * 1024
 
-#: Machine parameters per architecture (mirrors the test fixtures).
+#: Machine parameters per swept architecture: the bench table minus
+#: the ``sun3_vac`` cache variant, so the check, faultsweep and races
+#: matrices keep one row per distinct pmap.
 SWEEP_ARCHS: dict[str, dict] = {
-    "generic": {},
-    "vax": dict(hw_page_size=512, page_size=4096),
-    "rt_pc": dict(hw_page_size=2048, page_size=4096),
-    "sun3": dict(hw_page_size=8192, page_size=8192, mmu_contexts=8),
-    "ns32082": dict(hw_page_size=512, page_size=4096,
-                    va_limit=16 * MB, buggy_rmw_reports_read=True),
+    arch: params for arch, params in BENCH_ARCHS.items()
+    if arch != "sun3_vac"
 }
 
 

@@ -28,8 +28,7 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.perfbench import BENCH_ARCHS, QUICK_ARCHS
-from repro.bench.testing import make_spec
+from repro.bench.testing import BENCH_ARCHS, QUICK_ARCHS, make_spec
 from repro.obs.telemetry import FaultTelemetry
 
 #: Default seed for the per-task page-visit orders.
@@ -51,6 +50,11 @@ PAGER_STALL_RATE = 0.05
 #: Readahead window (pages) the v2 serving path advertises to the
 #: storm's store pagers.
 PAGER_STORM_READAHEAD = 4
+#: The pager-stall SLO: each cell's v2 p99 may be at most this
+#: multiple of its own serialized control's p99.  Both sides are
+#: simulated time on the same shape and seed, so the ratio is
+#: deterministic and the gate needs no committed baseline.
+PAGER_SERIALIZED_SLO = 1.0
 
 
 def _boot(arch: str, tasks: int, pages: int,
@@ -197,10 +201,13 @@ def run_pager_storm(arch: str = "generic", tasks: int = 8,
     size = pages * page
     telemetry = FaultTelemetry(keep_worst=keep_worst).attach(kernel)
     try:
-        # serialize=True is the pre-v2 serving path: blocking backoff
-        # (no CPU lending), one page per request.
-        sched = Scheduler(kernel, lend_pager_waits=not serialize)
-        if not serialize:
+        sched = Scheduler(kernel)
+        if serialize:
+            # The pre-v2 serving path: with no scheduler to lend the
+            # CPU, every backoff idles the machine; one page per
+            # request.
+            kernel.scheduler = None
+        else:
             kernel.readahead_pages = PAGER_STORM_READAHEAD
         injector = FaultInjector(seed,
                                  FaultConfig(pager_stall=PAGER_STALL_RATE))
@@ -341,6 +348,23 @@ def run_pager_storm_matrix(archs=None, quick: bool = False,
         payload["archs"][arch] = cell
         telemetries[arch] = telemetry
     return payload, telemetries
+
+
+def pager_slo_violations(payload) -> list[str]:
+    """One message per cell of a :func:`run_pager_storm_matrix`
+    payload that misses :data:`PAGER_SERIALIZED_SLO`, or that has no
+    control ratio to judge it by."""
+    problems = []
+    for arch, cell in payload["archs"].items():
+        ratio = cell["p99_vs_serialized"]
+        if ratio is None:
+            problems.append(f"{arch}: no p99_vs_serialized ratio (the "
+                            f"serialized control recorded no faults)")
+        elif ratio > PAGER_SERIALIZED_SLO:
+            problems.append(
+                f"{arch}: v2 p99 is {ratio:.3f}x its serialized "
+                f"control (SLO {PAGER_SERIALIZED_SLO:.2f}x)")
+    return problems
 
 
 def run_storm_matrix(archs=None, quick: bool = False,

@@ -7,9 +7,7 @@ Commands:
 * ``demo [--machine NAME]`` — run the core-mechanism walkthrough
   (allocate, fault, COW fork, sharing, statistics) on a chosen machine;
 * ``bench [--table {7-1,7-2}] [--quick]`` — regenerate the paper's
-  evaluation tables; ``bench --json [--out FILE]`` instead times the
-  simulator's own hot paths (forget/refault fault microbench +
-  invariant-sweep wall-clock) and writes a JSON report;
+  evaluation tables (host wall-clock is measured by ``perf/run.py``);
 * ``fault-trace [--machine NAME]`` — narrate every step of a single
   copy-on-write fault, for teaching (including the event-bus span tree
   of the fault);
@@ -20,13 +18,15 @@ Commands:
   CPU plus daemon/pager lanes), a derived-metrics summary, or the
   nested span tree with a top-N self-time profile;
 * ``storm [--arch NAME] [--tasks N] [--pages N] [--rounds N]
-  [--seed N] [--quick] [--json] [--out FILE] [--trace-out FILE]`` —
-  the fault-storm load generator: ramp N concurrent faulting tasks on
-  an overcommitted machine across the pmap arch matrix and report the
-  fault-latency distribution (p50/p95/p99/p999) with per-pipeline-
-  stage attribution from :class:`repro.obs.FaultTelemetry`;
-  ``--trace-out`` exports the worst-percentile faults as Chrome
-  trace_event JSON;
+  [--seed N] [--pager] [--quick] [--json] [--out FILE]
+  [--trace-out FILE]`` — the fault-storm load generator: ramp N
+  concurrent faulting tasks on an overcommitted machine across the
+  pmap arch matrix and report the fault-latency distribution
+  (p50/p95/p99/p999) with per-pipeline-stage attribution from
+  :class:`repro.obs.FaultTelemetry`; ``--trace-out`` exports the
+  worst-percentile faults as Chrome trace_event JSON; ``--pager``
+  runs the pager-stall storm instead and exits 1 when any cell's v2
+  p99 loses to its own serialized control;
 * ``check [--lint-only] [--report FILE] [--no-cache]`` — run the
   static analyses over the source tree (MD/MI layering lint,
   concurrency lint, and the five dataflow passes: resource lifecycle,
@@ -54,6 +54,7 @@ import argparse
 import sys
 
 from repro import hw
+from repro.bench.testing import BENCH_ARCHS
 from repro.core.constants import FaultType, VMInherit
 from repro.core.kernel import MachKernel
 
@@ -293,61 +294,7 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: regenerate evaluation tables, or (``--json``)
-    time the simulator's own hot paths."""
-    if args.json:
-        import json
-        import os
-
-        from repro.bench import run_perf_bench
-        from repro.bench.compare import compare_reports, \
-            format_comparison, load_report
-
-        from repro.bench.perfbench import DEFAULT_SEED
-
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        payload = run_perf_bench(quick=args.quick, seed=seed)
-        out = args.out or "BENCH_9.json"
-        with open(out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        fault = payload["fault_microbench"]
-        scalar = payload["fault_microbench_scalar"]
-        sweep = payload["invariant_sweeps"]
-        print(f"fault microbench (batch lane): {fault['faults']} "
-              f"faults in {fault['wall_s']:.3f}s "
-              f"({fault['faults_per_s']:.0f} faults/s; scalar lane "
-              f"{scalar['faults_per_s']:.0f} faults/s)")
-        print("per-arch (batch, faults/s): " + ", ".join(
-            f"{arch}={fps:.0f}" for arch, fps in
-            payload["per_arch_fault_throughput"].items()))
-        print(f"invariant sweeps: {sweep['cells']} cells in "
-              f"{sweep['wall_s']:.3f}s serial"
-              + (f", {payload['invariant_sweeps_parallel']['wall_s']:.3f}s "
-                 f"with {payload['invariant_sweeps_parallel']['jobs']} "
-                 f"jobs" if "invariant_sweeps_parallel" in payload
-                 else "")
-              + f" ({'ok' if sweep['ok'] else 'FAILED'})")
-        tail = payload["fault_tail_latency"]["per_arch"]
-        print("fault tail latency (simulated, p99 us): " + ", ".join(
-            f"{arch}={cell['p99_us']:.0f}" for arch, cell in
-            tail.items()))
-        pager = payload["pager_storm"]["per_arch"]
-        print("pager-stall storm (p99 vs serialized control): "
-              + ", ".join(
-                  f"{arch}={cell['p99_vs_serialized']:.3f}x"
-                  for arch, cell in pager.items()))
-        print("  tasks completed during pager waits: " + ", ".join(
-            f"{arch}={cell['tasks_completed_during_pager_wait']}"
-            for arch, cell in pager.items()))
-        print(f"wrote {out}")
-        baseline = args.baseline
-        if baseline and os.path.exists(baseline) \
-                and os.path.abspath(baseline) != os.path.abspath(out):
-            delta = compare_reports(load_report(baseline), payload)
-            print(format_comparison(delta, baseline, out))
-        return 0 if sweep["ok"] else 1
-
+    """``repro bench``: regenerate the paper's evaluation tables."""
     from repro.bench import (
         BsdSUT, FORK_TEST_PROGRAM, MachSUT, SunOsSUT,
         THIRTEEN_PROGRAMS, Table, fmt_sys_elapsed, measure_fork,
@@ -409,13 +356,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ratio(value) -> str:
+    return "n/a" if value is None else f"{value:.3f}x"
+
+
 def cmd_storm(args: argparse.Namespace) -> int:
     """``repro storm``: the fault-storm load generator — tail-latency
     percentiles with per-stage attribution across the arch matrix."""
     import json
 
     from repro.bench.storm import (
-        STORM_SEED, run_pager_storm_matrix, run_storm_matrix,
+        STORM_SEED, pager_slo_violations, run_pager_storm_matrix,
+        run_storm_matrix,
     )
     from repro.obs import validate_chrome_trace
     from repro.obs.telemetry import format_latency_report
@@ -444,8 +396,8 @@ def cmd_storm(args: argparse.Namespace) -> int:
             control = cell["serialized"]
             print(f"\n{arch}: p99 {cell['p99_us']:.0f}us vs "
                   f"{control['p99_us']:.0f}us serialized "
-                  f"({cell['p99_vs_serialized']:.3f}x), elapsed "
-                  f"{cell['elapsed_vs_serialized']:.3f}x, "
+                  f"({_ratio(cell['p99_vs_serialized'])}), elapsed "
+                  f"{_ratio(cell['elapsed_vs_serialized'])}, "
                   f"{cell['tasks_completed_during_pager_wait']} tasks "
                   f"completed during pager waits, "
                   f"{cell['readahead_pageins']} readahead pageins")
@@ -473,6 +425,12 @@ def cmd_storm(args: argparse.Namespace) -> int:
             handle.write("\n")
         print(f"wrote worst-fault trace ({first}) to "
               f"{args.trace_out}")
+    if args.pager:
+        violations = pager_slo_violations(payload)
+        for problem in violations:
+            print(f"pager-storm SLO FAIL: {problem}", file=sys.stderr)
+        if violations:
+            return 1
     return 0
 
 
@@ -682,6 +640,15 @@ def cmd_races(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _positive_int(value: str) -> int:
+    """argparse type for load-shape sizes: an integer of at least 1."""
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, "
+                                         f"got {number}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse CLI."""
     parser = argparse.ArgumentParser(
@@ -725,38 +692,21 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--table", choices=["7-1", "7-2"])
     bench.add_argument("--quick", action="store_true",
                        help="smaller workloads")
-    bench.add_argument("--json", action="store_true",
-                       help="time the simulator's own hot paths "
-                            "(fault microbench + sweep wall-clock) "
-                            "and write a JSON report")
-    bench.add_argument("--out",
-                       help="output file for --json "
-                            "(default BENCH_9.json)")
-    bench.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=None,
-                       help="seed for the microbench forget order "
-                            "(recorded in the JSON report)")
-    bench.add_argument("--baseline", default="BENCH_8.json",
-                       help="previous BENCH_<n>.json to print a "
-                            "before/after ratio against (skipped "
-                            "when missing)")
 
     storm = sub.add_parser(
         "storm",
         help="fault-storm load generator: tail-latency percentiles "
              "(p50/p95/p99/p999) with per-pipeline-stage attribution")
-    storm.add_argument("--arch", choices=["generic", "vax", "rt_pc",
-                                          "sun3", "sun3_vac",
-                                          "ns32082"],
+    storm.add_argument("--arch", choices=list(BENCH_ARCHS),
                        help="storm a single pmap architecture "
                             "(default: the whole matrix)")
-    storm.add_argument("--tasks", type=int, default=None,
+    storm.add_argument("--tasks", type=_positive_int, default=None,
                        help="concurrent faulting tasks (default 8, "
                             "quick 4)")
-    storm.add_argument("--pages", type=int, default=None,
+    storm.add_argument("--pages", type=_positive_int, default=None,
                        help="pages per task working set (default 6, "
                             "quick 4)")
-    storm.add_argument("--rounds", type=int, default=None,
+    storm.add_argument("--rounds", type=_positive_int, default=None,
                        help="forget/refault rounds per task "
                             "(default 3, quick 2)")
     storm.add_argument("--seed", type=lambda v: int(v, 0),
@@ -767,7 +717,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pager-stall storm: external-style store "
                             "pagers with injected transient stalls, "
                             "each cell paired with a serialized "
-                            "pre-v2 control")
+                            "pre-v2 control; exits 1 when a cell's "
+                            "v2 p99 loses to its control")
     storm.add_argument("--quick", action="store_true",
                        help="3 architectures, smaller load (CI smoke)")
     storm.add_argument("--json", action="store_true",

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.analysis.invariants import assert_all
 from repro.analysis.sweeps import SWEEP_ARCHS
-from repro.bench.testing import make_spec
+from repro.bench.testing import QUICK_ARCHS, make_spec
 from repro.core.constants import FaultType
 from repro.core.errors import VMError
 from repro.core.kernel import MachKernel
@@ -55,10 +55,6 @@ SCENARIO_CONFIGS: dict[str, FaultConfig] = {
                             ipc_delay=0.05),
     "pageout-pressure": CHAOS,
 }
-
-#: Quick mode still covers every fault class on three architectures.
-QUICK_ARCHS = ("generic", "vax", "sun3")
-
 
 @dataclass
 class CellResult:

@@ -136,8 +136,7 @@ class Scheduler:
     default, or any pluggable :class:`SchedulePolicy`."""
 
     def __init__(self, kernel, timer_tick_every: int = 8,
-                 policy: Optional[SchedulePolicy] = None,
-                 lend_pager_waits: bool = True) -> None:
+                 policy: Optional[SchedulePolicy] = None) -> None:
         self.kernel = kernel
         self.ready: deque[SchedThread] = deque()
         self.threads: list[SchedThread] = []
@@ -156,10 +155,7 @@ class Scheduler:
         self._wait_depth = 0
         # The kernel funnels pager backoff waits back through us so
         # unrelated ready threads can run during the stall.
-        # ``lend_pager_waits=False`` opts out (the pre-v2 behavior:
-        # backoffs idle the CPU) — used by serialized benchmark
-        # controls.
-        kernel.scheduler = self if lend_pager_waits else None
+        kernel.scheduler = self
 
     # ------------------------------------------------------------------
 

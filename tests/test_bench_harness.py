@@ -172,32 +172,3 @@ class TestFastLanePerfGuards:
         per_fault = costs.fault_trap_us + costs.fault_mi_us
         assert kernel.clock.elapsed_us - clock_before >= \
             pages * per_fault
-
-    def test_bench_report_records_repro_inputs(self):
-        from repro.bench import run_perf_bench
-        from repro.bench.perfbench import DEFAULT_SEED, QUICK_ARCHS
-
-        payload = run_perf_bench(quick=True)
-        assert payload["seed"] == DEFAULT_SEED
-        assert payload["archs"] == list(QUICK_ARCHS)
-        per_arch = payload["per_arch_fault_throughput"]
-        assert set(per_arch) == set(QUICK_ARCHS)
-        assert all(v > 0 for v in per_arch.values())
-        assert payload["fault_microbench"]["lane"] == "batch"
-        assert payload["fault_microbench_scalar"]["lane"] == "scalar"
-        # Identical fault stream on both lanes.
-        assert payload["fault_microbench"]["faults"] == \
-            payload["fault_microbench_scalar"]["faults"]
-
-    def test_compare_reports_ratio(self):
-        from repro.bench.compare import compare_reports
-
-        base = {"fault_microbench": {"faults_per_s": 1000.0},
-                "invariant_sweeps": {"wall_s": 2.0}}
-        cur = {"fault_microbench": {"faults_per_s": 3000.0},
-               "invariant_sweeps": {"wall_s": 1.0}}
-        delta = compare_reports(base, cur)
-        assert delta["fault_ratio"] == 3.0
-        assert delta["sweep_ratio"] == 2.0
-        # Missing fields degrade to None, not a crash.
-        assert compare_reports({}, cur)["fault_ratio"] is None

@@ -10,6 +10,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("flag", ["--tasks", "--pages", "--rounds"])
+    def test_storm_shape_below_one_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["storm", "--quick", "--arch", "generic", flag, "0"])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_known_commands(self):
         parser = build_parser()
         for command in ("machines", "demo", "fault-trace", "show",

@@ -7,7 +7,7 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.determinism import check_module
+from repro.analysis.determinism import check_module, run_pass
 
 FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
 
@@ -48,6 +48,22 @@ class TestKnownBad:
                 return random.SystemRandom()
         """)
         assert [f.rule for f in findings] == ["nondeterministic-source"]
+
+
+class TestScope:
+    def test_bench_wall_clock_is_flagged(self, tmp_path):
+        # bench reports simulated time only, so it is replayed code.
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        (tmp_path / "__init__.py").write_text("")
+        (bench / "__init__.py").write_text("")
+        (bench / "timer.py").write_text(
+            "import time\n\n\n"
+            "def elapsed():\n"
+            "    return time.perf_counter()\n")
+        findings = run_pass(tmp_path, "repro")
+        assert [(f.module, f.rule) for f in findings] == [
+            ("repro.bench.timer", "wall-clock")]
 
 
 class TestKnownGood:

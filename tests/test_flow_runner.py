@@ -180,15 +180,3 @@ class TestCli:
         assert payload["novel_field"] == 1      # passed through
         assert payload["findings"] == []
         assert payload["problems"] == []
-
-    def test_bench_json(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        assert main(["bench", "--json", "--quick",
-                     "--out", str(out_file)]) == 0
-        payload = json.loads(out_file.read_text())
-        assert payload["bench"] == "simulator-wallclock"
-        assert payload["quick"] is True
-        fault = payload["fault_microbench"]
-        assert fault["faults"] == fault["rounds"] * fault["pages"]
-        assert fault["wall_s"] > 0
-        assert payload["invariant_sweeps"]["ok"] is True

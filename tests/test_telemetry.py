@@ -11,14 +11,13 @@ The contracts of the telemetry PR:
 * the worst-percentile faults export as *valid* Chrome trace_event
   JSON — including batch-lane faults with nested spans and streams
   where several events share one simulated tick;
-* the storm load generator is deterministic for a fixed seed, which is
-  what lets the bench compare gate hold percentiles to SLOs;
+* the storm load generator is deterministic for a fixed seed, so the
+  quick storms' simulated p99s are pinned exactly, and the pager
+  storm gates itself: ``repro storm --pager`` exits 1 when a cell's
+  v2 p99 loses to its own serialized control;
 * the instrumentation stays free when observability is off: the fault
   path allocates zero ``Event`` objects and its throughput is within a
-  few percent of a bus stubbed down to nothing;
-* ``repro.bench.compare`` tolerates schema drift across the
-  BENCH_<n>.json series ("n/a", never a crash) and its ``--gate`` mode
-  fails only on regressions it can actually measure.
+  few percent of a bus stubbed down to nothing.
 """
 
 from __future__ import annotations
@@ -30,15 +29,14 @@ import time
 
 import pytest
 
+import repro.bench.storm as storm_mod
 import repro.obs.bus as bus_mod
-from repro.bench.compare import (
-    compare_reports,
-    format_comparison,
-    gate_failures,
+from repro.bench.storm import (
+    run_pager_storm_matrix,
+    run_storm,
+    run_storm_matrix,
 )
-from repro.bench.perfbench import QUICK_ARCHS
-from repro.bench.storm import run_storm, run_storm_matrix
-from repro.bench.testing import make_spec
+from repro.bench.testing import QUICK_ARCHS, make_spec
 from repro.cli import main
 from repro.core.constants import FaultType
 from repro.core.kernel import MachKernel
@@ -458,6 +456,20 @@ class TestStorm:
         trace = json.loads(trace_out.read_text())
         assert validate_chrome_trace(trace) == []
 
+    def test_quick_storm_p99s_are_pinned(self):
+        payload, _ = run_storm_matrix(quick=True)
+        assert {arch: cell["p99_us"]
+                for arch, cell in payload["archs"].items()} == {
+            "generic": 92554.0, "vax": 92818.0, "sun3": 92834.0}
+
+    def test_quick_pager_storm_p99s_are_pinned(self):
+        payload, _ = run_pager_storm_matrix(quick=True)
+        assert {arch: (cell["p99_us"], cell["serialized"]["p99_us"])
+                for arch, cell in payload["archs"].items()} == {
+            "generic": (722.0, 20242.0),
+            "vax": (986.0, 20256.0),
+            "sun3": (1482.0, 20482.0)}
+
     def test_cli_storm_text_table(self, capsys):
         assert main(["storm", "--arch", "generic", "--tasks", "2",
                      "--pages", "3", "--rounds", "1"]) == 0
@@ -492,73 +504,56 @@ class TestDifftestWithTelemetry:
 
 
 # ---------------------------------------------------------------------
-# Bench compare: schema drift + the SLO gate
+# The pager storm's self-contained SLO gate
 # ---------------------------------------------------------------------
 
-def _report(fps=None, wall=None, tail=None, shape=(8, 6, 3, 1)):
-    report = {}
-    if fps is not None:
-        report["fault_microbench"] = {"faults_per_s": fps}
-    if wall is not None:
-        report["invariant_sweeps"] = {"wall_s": wall}
-    if tail is not None:
-        tasks, pages, rounds, seed = shape
-        report["fault_tail_latency"] = {
-            "tasks": tasks, "pages": pages, "rounds": rounds,
-            "seed": seed,
-            "per_arch": {arch: {"p99_us": p99}
-                         for arch, p99 in tail.items()},
-        }
-    return report
+class TestPagerStormGate:
 
+    @staticmethod
+    def _forced(monkeypatch, ratios):
+        """Make ``repro storm --pager`` see one cell per arch with the
+        given ``p99_vs_serialized`` ratios."""
+        def matrix(**_kwargs):
+            archs = {
+                arch: {"p99_us": 100.0, "p99_vs_serialized": ratio,
+                       "elapsed_vs_serialized": ratio,
+                       "serialized": {"p99_us": 100.0},
+                       "tasks_completed_during_pager_wait": 0,
+                       "readahead_pageins": 0}
+                for arch, ratio in ratios.items()}
+            payload = {"tasks": 1, "pages": 1, "rounds": 1,
+                       "stall_rate": 0.05, "archs": archs}
+            return payload, {}
+        monkeypatch.setattr(storm_mod, "run_pager_storm_matrix", matrix)
 
-class TestCompareGate:
+    def test_quick_pager_storm_passes(self, capsys):
+        assert main(["storm", "--pager", "--quick"]) == 0
+        assert "SLO FAIL" not in capsys.readouterr().err
 
-    def test_missing_sections_render_na_not_crash(self):
-        delta = compare_reports({}, _report(fps=1000.0,
-                                            tail={"generic": 50.0}))
-        assert delta["fault_ratio"] is None
-        assert delta["sweep_ratio"] is None
-        assert delta["tail_p99_ratio"]["generic"]["ratio"] is None
-        text = format_comparison(delta)
-        assert "n/a" in text
-        assert "1000" in text
+    def test_passes_when_every_cell_beats_its_control(
+            self, monkeypatch, capsys):
+        self._forced(monkeypatch, {"generic": 0.5, "vax": 1.0})
+        assert main(["storm", "--pager", "--json"]) == 0
 
-    def test_nothing_comparable_at_all(self):
-        delta = compare_reports({}, {})
-        assert format_comparison(delta) == "nothing comparable"
-        assert gate_failures(delta) == []
+    @pytest.mark.parametrize("json_mode", [False, True],
+                             ids=["text", "json"])
+    def test_fails_when_a_cell_loses_to_its_control(
+            self, monkeypatch, capsys, json_mode):
+        self._forced(monkeypatch, {"generic": 0.5, "vax": 1.25})
+        argv = ["storm", "--pager"] + (["--json"] if json_mode else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "vax" in err and "1.250x" in err
+        assert "generic" not in err
 
-    def test_gate_fails_on_throughput_regression(self):
-        delta = compare_reports(_report(fps=100_000.0),
-                                _report(fps=70_000.0))
-        failures = gate_failures(delta, max_regress_pct=20.0)
-        assert len(failures) == 1
-        assert "throughput" in failures[0]
-
-    def test_gate_passes_within_budget(self):
-        delta = compare_reports(_report(fps=100_000.0),
-                                _report(fps=85_000.0))
-        assert gate_failures(delta, max_regress_pct=20.0) == []
-
-    def test_gate_fails_on_latency_slo_breach(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}),
-            _report(tail={"generic": 2000.0}))
-        failures = gate_failures(delta)
-        assert len(failures) == 1
-        assert "p99" in failures[0]
-
-    def test_gate_skips_percentiles_across_load_shapes(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}, shape=(8, 6, 3, 1)),
-            _report(tail={"generic": 9000.0}, shape=(4, 4, 2, 1)))
-        assert delta["tail_p99_ratio"]["generic"]["ratio"] is None
-        assert gate_failures(delta) == []
-
-    def test_gate_skips_archs_only_one_side_measured(self):
-        delta = compare_reports(
-            _report(tail={"generic": 1000.0}),
-            _report(tail={"generic": 1000.0, "vax": 5000.0}))
-        assert delta["tail_p99_ratio"]["vax"]["ratio"] is None
-        assert gate_failures(delta) == []
+    @pytest.mark.parametrize("json_mode", [False, True],
+                             ids=["text", "json"])
+    def test_fails_when_a_cell_has_no_ratio(self, monkeypatch, capsys,
+                                            json_mode):
+        self._forced(monkeypatch, {"sun3": None})
+        argv = ["storm", "--pager"] + (["--json"] if json_mode else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "sun3: no p99_vs_serialized ratio" in captured.err
+        if not json_mode:
+            assert "(n/a)" in captured.out

@@ -216,7 +216,7 @@ class TestInterprocedural:
 class TestScopeAndTree:
     def test_analysis_tooling_is_exempt(self):
         assert not in_scope("repro.analysis.typestate")
-        assert not in_scope("repro.bench.compare")
+        assert not in_scope("repro.bench.storm")
         assert in_scope("repro.core.kernel")
         assert in_scope("repro.pmap.interface")
 
