@@ -127,8 +127,11 @@ def _has_yield(exprs: tuple[ast.AST, ...]) -> bool:
 # *reaches* a primitive is the call-graph summaries' ``may_yield``.
 
 #: Entering the fault handler can block the faulting thread on a pager
-#: round trip, so calls into it are preemption points.
-FAULT_ENTRY = frozenset({"vm_fault", "resolve_task_fault"})
+#: round trip, so calls into it are preemption points: both lanes, the
+#: trap entry, and the kernel's ``fault_resolver`` seam (an attribute
+#: call no call graph can resolve to its target).
+FAULT_ENTRY = frozenset({"vm_fault", "vm_fault_batch", "fault_resolver",
+                         "resolve_task_fault"})
 #: ThreadContext methods: they run on the thread's CPU and may fault.
 CTX_METHODS = frozenset({"read", "write", "rmw"})
 

@@ -41,7 +41,7 @@ from repro.analysis.layering import _strip
 PASS_NAME = "errorpaths"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "3"
+PASS_VERSION = "4"
 
 #: Packages whose code counts as kernel paths.
 SCOPE = ("core", "pager", "ipc", "fs")

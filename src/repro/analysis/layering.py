@@ -39,6 +39,11 @@ enforces the boundary as import rules:
   (``MachKernel.sanitize_hook``, ``PmapSystem.debug_hook``), so
   ``sched`` and ``core`` must not import ``analysis`` (for ``hw`` and
   ``pmap`` the upper-layer rules already forbid it).
+* **test-import** — shipped code never imports the test suite
+  (``tests`` or ``tests.*``, even inside a function).  Test-only
+  oracles such as the pinned reference fault resolver live under
+  ``tests/`` and reach the system through seams
+  (``MachKernel.fault_resolver``), never the other way round.
 * **star-import** — ``from x import *`` anywhere in the tree.
 * **import-cycle** — no cycle among module-level imports (imports inside
   functions are deliberately excluded: they are the sanctioned way to
@@ -86,7 +91,7 @@ UPPER_LAYERS = ("pager", "ipc", "fs", "unix", "bench", "baseline",
 
 
 #: Part of the lint cache key: bump on any rule/behavior change.
-LINT_VERSION = "1"
+LINT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -318,6 +323,13 @@ def lint_package(root: Path, package: str = "repro"
                     module, site.lineno, "star-import",
                     f"'from {site.target} import *' hides the import "
                     f"graph from readers and tools"))
+            if _within(site.target, "tests"):
+                violations.append(LintViolation(
+                    module, site.lineno, "test-import",
+                    f"imports {site.target}; shipped code never "
+                    f"depends on the test suite (tests reach the "
+                    f"system through seams such as "
+                    f"MachKernel.fault_resolver)"))
             tgt = _strip(site.target, package)
             if tgt is None:
                 continue   # stdlib / external: out of scope

@@ -344,7 +344,7 @@ def lint_source_concurrency() -> list[LintViolation]:
 # ======================================================================
 
 #: Part of the incremental-cache key: bump on any behavior change.
-ATOMICITY_VERSION = "1"
+ATOMICITY_VERSION = "2"
 
 #: Modules exempt from atomicity-hazard *reporting*: the kernel funnel
 #: runs under the map/object locks (checked by the guarded-by half),

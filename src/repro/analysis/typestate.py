@@ -60,7 +60,7 @@ PASS_NAME = "typestate"
 
 #: Bumped when the pass logic changes: part of every cache key, so a
 #: new rule invalidates stale cached results.
-PASS_VERSION = "2"
+PASS_VERSION = "3"
 
 #: Top-level repro subpackages outside the simulated kernel: protocol
 #: ops never originate there, and analysis tooling talking *about*

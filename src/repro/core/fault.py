@@ -15,22 +15,25 @@ independent data structures" (Section 3.6).  A fault resolves by
 6. entering the translation in the machine-dependent pmap — with write
    permission withheld when the page is still logically shared.
 
-Two lanes resolve faults:
+Steps (4)-(6) live in one per-page resolver, :func:`_fault_page`,
+which both entry points call:
 
-* :func:`vm_fault` — one page at a time, as the MMU delivers them.  The
-  hot path uses integer protection masks, the memoized shadow-chain
-  walk (:meth:`repro.core.vm_object.VMObject.shadow_chain`) and builds
-  event payloads only when the bus has subscribers.
+* :func:`vm_fault` — one page at a time, as the MMU delivers them:
+  lookup, entry preparation, :func:`_fault_page`, one
+  :meth:`~repro.pmap.interface.Pmap.enter`.  The hot path uses integer
+  protection masks, the memoized shadow-chain walk
+  (:meth:`repro.core.vm_object.VMObject.shadow_chain`) and builds event
+  payloads only when the bus has subscribers.
 * :func:`vm_fault_batch` — a *run* of consecutive pending faults
-  against the same map entry resolved in one pass: one map lookup, one
-  shadow-chain memo, one :meth:`~repro.pmap.interface.Pmap.enter_batch`
-  (and therefore at most one TLB shootdown) per object-run, instead of
-  one of each per page.
+  against the same map entry: one map lookup and entry preparation,
+  :func:`_fault_page` per page, and one
+  :meth:`~repro.pmap.interface.Pmap.enter_batch` (and therefore at
+  most one TLB shootdown) per object-run, instead of one of each per
+  page.
 
-Both lanes keep identical machine-independent semantics; the pinned
-page-at-a-time reference implementation lives in
-:mod:`repro.core.fault_reference` and the differential harness under
-``tests/difftest/`` proves the equivalence on every registered pmap.
+The differential harness under ``tests/difftest/`` runs both entry
+points lockstep against a pinned page-at-a-time reference resolver
+(``tests/difftest/reference.py``) on every registered pmap.
 """
 
 from __future__ import annotations
@@ -85,17 +88,35 @@ def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
                    wiring: bool, span) -> FaultOutcome:
     """The body of :func:`vm_fault`, run inside its ``vm/fault`` span
     when the bus has subscribers (*span* is ``None`` otherwise)."""
-    vm = kernel.vm
-    page_addr = vaddr & -vm.page_size
+    page_addr = vaddr & -kernel.vm.page_size
     vm_map = task.vm_map
     result = _lookup_staged(kernel, vm_map, page_addr, fault_type)
     writing = bool(int(fault_type) & _WRITE_BIT)
     outcome = FaultOutcome(page=None)  # type: ignore[arg-type]
     result = _prepare_entry(kernel, vm_map, result, page_addr,
                             fault_type, writing, outcome)
+    prot_bits, page, wired = _fault_page(
+        kernel, result, page_addr, page_addr, vaddr, fault_type, writing,
+        wiring, outcome, span)
+    pmap = vm_map.pmap
+    if pmap is not None:
+        pmap.enter(page_addr, page.phys_addr, _PROT[prot_bits & 7],
+                   wired=wired)
+    page.busy = False
+    return outcome
 
+
+def _fault_page(kernel, result, run_base: int, page_addr: int,
+                vaddr: int, fault_type: FaultType, writing: bool,
+                wiring: bool, outcome: FaultOutcome, span):
+    """Steps (4)-(6) for one page against a prepared lookup *result*
+    whose offset maps *run_base*: find the page, honour locks and copy
+    up, then mark it referenced (and modified) and wire or activate it
+    — everything but the pmap enter and the busy-clear, which the
+    caller owes.  Returns ``(prot_bits, page, wired)``; *page* is also
+    ``outcome.page`` (the copy-up page when a COW copy happened)."""
     first_object = result.leaf_entry.vm_object
-    first_offset = result.offset
+    first_offset = result.offset + (page_addr - run_base)
 
     # (4) Walk the shadow chain for the data.  A failed backing store
     # (dead pager, bad disk) surfaces here as a *typed* error to the
@@ -107,28 +128,22 @@ def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
     except (MemoryObjectError, DiskIOError):
         kernel.stats.fault_errors += 1
         raise
-
     prot_bits = _finish_page(kernel, result, page, level, first_object,
                              first_offset, vaddr, fault_type, writing,
                              outcome)
-    page = outcome.page  # the copy-up page when a COW copy happened
+    page = outcome.page
 
-    pmap = vm_map.pmap
-    wire_page = wiring or result.wired
-    if pmap is not None:
-        pmap.enter(page_addr, page.phys_addr, _PROT[prot_bits & 7],
-                   wired=wire_page)
-
+    # Queue/state updates happen at resolution time, in fault order (a
+    # COW copy-up activates the source page mid-resolution; the copy
+    # must follow it immediately).
+    wired = wiring or result.wired
     page.referenced = True
     if writing:
         page.modified = True
-    if wire_page:
-        vm.resident.wire(page)
+    if wired:
+        kernel.vm.resident.wire(page)
     else:
-        vm.resident.activate(page)
-    page.busy = False
-
-    outcome.page = page
+        kernel.vm.resident.activate(page)
     outcome.entered_prot = _PROT[prot_bits & 7]
     if span is not None:
         span.note(zero_filled=outcome.zero_filled,
@@ -136,7 +151,7 @@ def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
                   shadow_created=outcome.shadow_created,
                   cow_copied=outcome.cow_copied,
                   depth=level)
-    return outcome
+    return prot_bits, page, wired
 
 
 def _lookup_staged(kernel, vm_map, page_addr: int,
@@ -440,9 +455,9 @@ def _resolve_batch(kernel, task, start: int, npages: int,
 
     outcomes: list[FaultOutcome] = []
     #: (page_addr, page, prot_bits, wired) awaiting one enter_batch.
-    #: Every pending page has already had its queue/state updates
-    #: (referenced, modified, wire-or-activate) applied in scalar
-    #: order; only the hardware enter and the busy-clear are deferred.
+    #: :func:`_fault_page` has already applied every pending page's
+    #: queue/state updates (referenced, modified, wire-or-activate) in
+    #: fault order; only the hardware enter and the busy-clear wait.
     pending: list[tuple] = []
 
     def flush() -> None:
@@ -464,7 +479,8 @@ def _resolve_batch(kernel, task, start: int, npages: int,
         """One page of the run: run management (map lookup / entry
         preparation on run boundaries, pre-reclaim flushing) plus the
         page's resolution — everything the scalar path does inside
-        its ``vm/fault`` span except the pmap enter."""
+        its ``vm/fault`` span except the pmap enter, which waits in
+        *pending* for the run's flush."""
         nonlocal result, run_base, run_first_shadowed
         if result is None or not _covers(result, cursor):
             # New run: flush the finished one, re-resolve the map and
@@ -487,8 +503,10 @@ def _resolve_batch(kernel, task, start: int, npages: int,
         if run_first_shadowed:
             outcome.shadow_created = True
             run_first_shadowed = False
-        return _resolve_batch_page(kernel, result, run_base, cursor,
-                                   fault_type, writing, outcome, span)
+        prot_bits, page, wired = _fault_page(
+            kernel, result, run_base, cursor, cursor, fault_type, writing,
+            wiring, outcome, span)
+        pending.append((cursor, page, prot_bits, wired))
 
     end = start + npages * page_size
     cursor = start
@@ -501,59 +519,19 @@ def _resolve_batch(kernel, task, start: int, npages: int,
                 with events.span("vm", "fault", task=task.name,
                                  vaddr=cursor,
                                  fault_type=fault_type.name) as span:
-                    prot_bits, page = step(cursor, outcome, span)
+                    step(cursor, outcome, span)
             else:
-                prot_bits, page = step(cursor, outcome, None)
+                step(cursor, outcome, None)
         except BaseException:
             # Leave the state the scalar loop would have left: every
             # already-resolved page entered and queued.
             flush()
             raise
-
-        # Queue/state updates happen now, in scalar order (a COW
-        # copy-up activates the source page mid-resolution; the copy
-        # must follow it immediately, as the scalar path queues it).
-        wire_page = wiring or result.wired
-        page.referenced = True
-        if writing:
-            page.modified = True
-        if wire_page:
-            resident.wire(page)
-        else:
-            resident.activate(page)
-        pending.append((cursor, page, prot_bits, wire_page))
-        outcome.entered_prot = _PROT[prot_bits & 7]
         outcomes.append(outcome)
         cursor += page_size
 
     flush()
     return outcomes
-
-
-def _resolve_batch_page(kernel, result, run_base: int, page_addr: int,
-                        fault_type: FaultType, writing: bool,
-                        outcome: FaultOutcome, span):
-    """Resolve one page of a batch run against the run's prepared
-    lookup result; returns ``(prot_bits, page)`` for the pending enter
-    list.  Mirrors the scalar steps (4)-(6) minus the pmap enter."""
-    first_object = result.leaf_entry.vm_object
-    first_offset = result.offset + (page_addr - run_base)
-    try:
-        page, level = _find_page_staged(kernel, first_object,
-                                        first_offset, outcome)
-    except (MemoryObjectError, DiskIOError):
-        kernel.stats.fault_errors += 1
-        raise
-    prot_bits = _finish_page(kernel, result, page, level, first_object,
-                             first_offset, page_addr, fault_type,
-                             writing, outcome)
-    if span is not None:
-        span.note(zero_filled=outcome.zero_filled,
-                  paged_in=outcome.paged_in,
-                  shadow_created=outcome.shadow_created,
-                  cow_copied=outcome.cow_copied,
-                  depth=level)
-    return prot_bits, outcome.page
 
 
 def resolve_task_fault(kernel, task, hw_fault) -> FaultOutcome:

@@ -37,7 +37,7 @@ from repro.ipc.message import Message
 from repro.ipc.port import DeadPortError, Port
 from repro.pager.default_pager import DefaultPager
 from repro.pager.protocol import UNAVAILABLE, capabilities_for, \
-    normalize_reply, one_page_request
+    normalize_reply
 from repro.pager.swap import SwapSpace
 from repro.pmap.interface import PmapSystem, ShootdownStrategy
 from repro.pmap.registry import pmap_class_for
@@ -105,10 +105,11 @@ class MachKernel:
         self.tasks: list[Task] = []
         self.max_fault_retries = 8
         #: Pluggable page-fault resolver (signature of
-        #: :func:`repro.core.fault.vm_fault`).  The differential-testing
-        #: harness points this at the pinned reference implementation
-        #: (:func:`repro.core.fault_reference.vm_fault_reference`) to
-        #: run it lockstep against the fast lane.
+        #: :func:`repro.core.fault.vm_fault`): the seam through which
+        #: tests swap in a fake.  The differential harness points it at
+        #: the pinned reference resolver that lives with it, under
+        #: ``tests/difftest/``, and runs that lockstep against the one
+        #: fault path.
         #: guarded-by boot-wiring
         self.fault_resolver = vm_fault
         #: Pager failure policy (Section 4's "errant memory manager"
@@ -472,7 +473,8 @@ class MachKernel:
         When a non-default :attr:`fault_resolver` is installed (the
         differential harness's pinned reference), the run degrades to
         page-at-a-time calls through it, so both lanes stay comparable
-        through one entry point.
+        through one entry point and a reference kernel's wiring never
+        falls through to the fast lane.
         """
         if self.fault_resolver is vm_fault:
             results = vm_fault_batch(self, task, address, npages,
@@ -744,48 +746,6 @@ class MachKernel:
                 self.vm.resident.activate(page)
                 if off < base or off >= base + cluster:
                     self.stats.readahead_pageins += 1
-        return result
-
-    def request_object_data_v1(self, obj,
-                               offset: int) -> Optional[VMPage]:
-        """The pre-v2 one-page calling convention, kept as a thin shim
-        (via :func:`repro.pager.protocol.one_page_request`) for the
-        pinned difftest reference resolver: one blob per request, no
-        readahead, no scatter-gather — exactly the protocol the
-        reference was frozen against.
-        """
-        if obj.pager_dead:
-            return self._dead_pager_data(obj, offset)
-        page_size = self.page_size
-        cluster = max(capabilities_for(obj.pager).transfer_size
-                      or page_size, page_size)
-        base = offset - offset % cluster
-        obj.paging_in_progress += 1
-        try:
-            data = self._call_pager(
-                obj, "data_request",
-                lambda: one_page_request(obj.pager, obj, base, cluster,
-                                         VMProt.READ, page_size))
-        finally:
-            obj.paging_in_progress -= 1
-        if data is UNAVAILABLE or data is None:
-            return None
-        data = bytes(data)
-        if len(data) < cluster:
-            data += bytes(cluster - len(data))
-        result = None
-        for off in range(base, base + cluster, page_size):
-            if off != offset and (off >= obj.size
-                                  or self.vm.resident.lookup(obj, off)
-                                  is not None):
-                continue
-            page = self._install_provided_page(
-                obj, off, data[off - base:off - base + page_size],
-                page_size)
-            if off == offset:
-                result = page
-            else:
-                self.vm.resident.activate(page)
         return result
 
     def _install_provided_page(self, obj, off: int, data,

@@ -2,10 +2,10 @@
 
 :class:`FaultTelemetry` subscribes to the :class:`~repro.obs.bus.EventBus`
 and turns the span stream into a fault-latency distribution with
-per-stage attribution.  Every ``vm/fault`` span (either lane — the
-scalar reference path or the batch fast lane) becomes one latency
-sample; stage spans nested inside it attribute slices of that latency
-to the fault pipeline's stages:
+per-stage attribution.  Every ``vm/fault`` span (from either entry
+point — ``vm_fault`` or the batch lane — which share one per-page
+resolver) becomes one latency sample; stage spans nested inside it
+attribute slices of that latency to the fault pipeline's stages:
 
 ========== =========================== ==============================
 stage      bus span                    what it covers

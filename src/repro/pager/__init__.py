@@ -12,8 +12,7 @@ may be scatter-gather range lists (partial, out-of-order, coalesced),
 and optional hooks are declared up front in a
 :class:`~repro.pager.protocol.PagerCapabilities` flags object instead
 of being probed with ``getattr``.  The v1 one-page convention survives
-only as the :func:`~repro.pager.protocol.one_page_request` shim used by
-the pinned difftest reference kernel.
+only in the pinned difftest reference under ``tests/difftest/``.
 """
 
 from repro.pager.base import (
@@ -36,7 +35,6 @@ from repro.pager.protocol import (
     PagerToKernel,
     capabilities_for,
     normalize_reply,
-    one_page_request,
 )
 from repro.pager.registry import (
     pager_class_for,
@@ -53,6 +51,6 @@ __all__ = [
     "PagerProtocol", "PagerToKernel", "SimpleReadWritePager",
     "SwapSpace", "UNAVAILABLE", "VnodePager", "capabilities_for",
     "map_file", "map_remote_region", "normalize_reply",
-    "one_page_request", "pager_class_for", "register_pager",
-    "registered_pagers", "vnode_pager_for",
+    "pager_class_for", "register_pager", "registered_pagers",
+    "vnode_pager_for",
 ]

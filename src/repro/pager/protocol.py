@@ -35,8 +35,7 @@ Protocol v2 changes the calling convention in three ways:
    overlapping (first range wins) and coalesced; a range's ``data``
    may itself be :data:`UNAVAILABLE` to punch a one-page hole.
    :func:`normalize_reply` flattens any legal shape into per-page
-   chunks; :func:`one_page_request` is the v1 compatibility shim the
-   pinned difftest reference kernel calls.
+   chunks.
 
 3. **Capabilities instead of ``getattr`` probing.**  Optional hooks
    (``has_data``, ``lock_value_for``, ...) are declared up front in a
@@ -248,35 +247,6 @@ def normalize_reply(reply: PagerReply, offset: int, length: int,
             chunk = data[chunk_base - base:chunk_base - base + page_size]
             pages.setdefault(chunk_base, chunk)
     return pages
-
-
-def one_page_request(pager, obj, offset: int, length: int,
-                     desired_access, page_size: int = 0) -> DataResult:
-    """The v1 calling convention as a thin shim over v2.
-
-    Issues a plain windowed ``data_request`` (no readahead hint) and
-    flattens the reply back into the old single-``DataResult`` shape:
-    *length* bytes at *offset* (zero-padded), or :data:`UNAVAILABLE`.
-    The pinned difftest reference kernel pages in exclusively through
-    this shim, so its faults see exactly the pre-v2 protocol.
-    """
-    #: no-retry — callers run this shim inside the kernel's
-    #: _call_pager funnel, which owns retry/backoff/dead-pager policy.
-    reply = pager.data_request(obj, offset, length, desired_access)
-    pages = normalize_reply(reply, offset, length,
-                            page_size or length)
-    if not pages:
-        return UNAVAILABLE
-    step = page_size or length
-    out = bytearray(length)
-    provided = False
-    for base in range(offset, offset + length, step):
-        chunk = pages.get(base)
-        if chunk is None or chunk is UNAVAILABLE:
-            continue
-        provided = True
-        out[base - offset:base - offset + len(chunk)] = chunk
-    return bytes(out) if provided else UNAVAILABLE
 
 
 class PagerProtocol(abc.ABC):

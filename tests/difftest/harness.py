@@ -7,7 +7,7 @@ same seeded random workload:
   (:func:`repro.core.fault.vm_fault`) and the batch lane
   (:func:`repro.core.fault.vm_fault_batch`);
 * the **reference** kernel installs
-  :func:`repro.core.fault_reference.vm_fault_reference`, the pinned
+  :func:`tests.difftest.reference.vm_fault_reference`, the pinned
   page-at-a-time copy of the resolver; ``kernel.fault_batch`` then
   degrades to a scalar loop.
 
@@ -36,9 +36,9 @@ import random
 from repro.bench.testing import make_spec
 from repro.core.constants import FaultType, VMProt
 from repro.core.errors import VMError
-from repro.core.fault_reference import vm_fault_reference
 from repro.core.kernel import MachKernel
 from repro.obs.bus import EventRecorder
+from tests.difftest.reference import vm_fault_reference
 
 MB = 1024 * 1024
 

@@ -1,30 +1,36 @@
-"""The pinned page-at-a-time fault resolver.
+"""The pinned test-only oracles: the page-at-a-time fault resolver and
+the v1 one-page pager shim it pages in through.
 
-This module is the *reference* implementation of the fault path: a
-frozen copy of :func:`repro.core.fault.vm_fault` as it stood before the
-fault fast lane (batched resolution, memoized shadow-chain walks,
-int-keyed TLB slots) landed.  It is deliberately unoptimized and
-deliberately duplicated — the differential-testing harness under
-``tests/difftest/`` runs it lockstep against the fast path over seeded
-random workloads on every registered pmap and asserts identical page
-contents, pmap/TLB state, ``KernelStats`` deltas and semantic event
-streams.  Sharing helpers with :mod:`repro.core.fault` would let an
-optimization bug silently change both sides at once, which is exactly
-what the harness exists to prevent.
+:func:`vm_fault_reference` is the *reference* implementation of the
+fault path: a frozen copy of :func:`repro.core.fault.vm_fault` as it
+stood before the fault fast lane (batched resolution, memoized
+shadow-chain walks, int-keyed TLB slots) landed.  It is deliberately
+unoptimized and deliberately duplicated — the differential-testing
+harness in this package runs it lockstep against the fast path over
+seeded random workloads on every registered pmap and asserts identical
+page contents, pmap/TLB state, ``KernelStats`` deltas and semantic
+event streams.  Sharing helpers with :mod:`repro.core.fault` would let
+an optimization bug silently change both sides at once, which is
+exactly what the harness exists to prevent.  It lives outside ``src/``
+so the system under test never ships (or imports) its own oracle.
 
 Keep this file in sync with the *semantics* of the fast path, never
 with its implementation.  Route a kernel through it with::
 
-    from repro.core.fault_reference import vm_fault_reference
+    from tests.difftest.reference import vm_fault_reference
     kernel.fault_resolver = vm_fault_reference
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.core.constants import FaultType, VMProt, trunc_page
 from repro.core.errors import DiskIOError, MemoryObjectError
 from repro.core.fault import FaultOutcome
 from repro.core.page import VMPage
+from repro.pager.protocol import UNAVAILABLE, DataResult, \
+    capabilities_for, normalize_reply
 
 
 def vm_fault_reference(kernel, task, vaddr: int, fault_type: FaultType,
@@ -203,7 +209,7 @@ def _find_page(kernel, first_object, first_offset: int,
             vm.resident.free(page)
 
         if obj.pager is not None and kernel.pager_has_data(obj, offset):
-            page = kernel.request_object_data_v1(obj, offset)
+            page = request_object_data_v1(kernel, obj, offset)
             if page is not None:
                 outcome.paged_in = True
                 kernel.stats.pageins += 1
@@ -258,3 +264,79 @@ def _copy_up(kernel, source: VMPage, first_object, first_offset: int):
         raise
     new_page.modified = True
     return new_page
+
+
+# ----------------------------------------------------------------------
+# The v1 pager calling convention (what the reference pages in through)
+# ----------------------------------------------------------------------
+
+def request_object_data_v1(kernel, obj, offset: int) -> Optional[VMPage]:
+    """The pre-v2 one-page calling convention, kept as a thin shim
+    (via :func:`one_page_request`) for the pinned reference resolver:
+    one blob per request, no readahead, no scatter-gather — exactly the
+    protocol the reference was frozen against.  It runs inside
+    *kernel*'s own pager funnel, so retry/backoff/dead-pager policy is
+    the kernel's.
+    """
+    if obj.pager_dead:
+        return kernel._dead_pager_data(obj, offset)
+    page_size = kernel.page_size
+    cluster = max(capabilities_for(obj.pager).transfer_size
+                  or page_size, page_size)
+    base = offset - offset % cluster
+    obj.paging_in_progress += 1
+    try:
+        data = kernel._call_pager(
+            obj, "data_request",
+            lambda: one_page_request(obj.pager, obj, base, cluster,
+                                     VMProt.READ, page_size))
+    finally:
+        obj.paging_in_progress -= 1
+    if data is UNAVAILABLE or data is None:
+        return None
+    data = bytes(data)
+    if len(data) < cluster:
+        data += bytes(cluster - len(data))
+    result = None
+    for off in range(base, base + cluster, page_size):
+        if off != offset and (off >= obj.size
+                              or kernel.vm.resident.lookup(obj, off)
+                              is not None):
+            continue
+        page = kernel._install_provided_page(
+            obj, off, data[off - base:off - base + page_size],
+            page_size)
+        if off == offset:
+            result = page
+        else:
+            kernel.vm.resident.activate(page)
+    return result
+
+
+def one_page_request(pager, obj, offset: int, length: int,
+                     desired_access, page_size: int = 0) -> DataResult:
+    """The v1 calling convention as a thin shim over v2.
+
+    Issues a plain windowed ``data_request`` (no readahead hint) and
+    flattens the reply back into the old single-``DataResult`` shape:
+    *length* bytes at *offset* (zero-padded), or :data:`UNAVAILABLE`.
+    The pinned reference resolver pages in exclusively through this
+    shim, so its faults see exactly the pre-v2 protocol.
+    """
+    #: no-retry — callers run this shim inside the kernel's
+    #: _call_pager funnel, which owns retry/backoff/dead-pager policy.
+    reply = pager.data_request(obj, offset, length, desired_access)
+    pages = normalize_reply(reply, offset, length,
+                            page_size or length)
+    if not pages:
+        return UNAVAILABLE
+    step = page_size or length
+    out = bytearray(length)
+    provided = False
+    for base in range(offset, offset + length, step):
+        chunk = pages.get(base)
+        if chunk is None or chunk is UNAVAILABLE:
+            continue
+        provided = True
+        out[base - offset:base - offset + len(chunk)] = chunk
+    return bytes(out) if provided else UNAVAILABLE

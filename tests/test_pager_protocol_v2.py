@@ -34,8 +34,9 @@ from repro.pager.protocol import (
     PagerCapabilities,
     capabilities_for,
     normalize_reply,
-    one_page_request,
 )
+from tests.difftest.reference import one_page_request, \
+    request_object_data_v1
 
 PAGE = 4096
 
@@ -216,7 +217,7 @@ class TestV2ServingPath:
         obj1 = task.vm_map.lookup_entry(a1)[1].vm_object
         obj2 = task.vm_map.lookup_entry(a2)[1].vm_object
         p1 = kernel.request_object_data(obj1, PAGE)
-        p2 = kernel.request_object_data_v1(obj2, PAGE)
+        p2 = request_object_data_v1(kernel, obj2, PAGE)
         assert kernel.machine.physmem.read(p1.phys_addr, PAGE) \
             == kernel.machine.physmem.read(p2.phys_addr, PAGE)
 

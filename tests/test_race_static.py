@@ -1,12 +1,14 @@
 """The static half of the concurrency sanitizer: the ``#: guarded-by``
-contract, the ``atomicity`` flow pass, and the hook-inversion layering
-rule — each proven able to fail on synthetic violations, and the real
-source tree proven clean."""
+contract, the ``atomicity`` flow pass, and the hook-inversion and
+test-import layering rules — each proven able to fail on synthetic
+violations, and the real source tree proven clean."""
 
 from __future__ import annotations
 
 import ast
+import shutil
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +290,45 @@ class TestAtomicityAcrossModules:
         assert edited.findings == []
         assert _atomicity(pkg, cache).analyzed == []
 
+    @pytest.fixture(scope="class")
+    def probed_tree(self, tmp_path_factory):
+        """The real ``repro`` tree plus a pager module that reads a
+        guarded field, enters the fault path through each kernel entry
+        point, and writes the field back; its atomicity findings."""
+        import repro
+        root = tmp_path_factory.mktemp("tree") / "repro"
+        shutil.copytree(Path(repro.__file__).resolve().parent, root,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (root / "pager" / "_probe.py").write_text(textwrap.dedent("""
+            def via_fault(kernel, task, buf, addr, kind):
+                n = buf.size
+                kernel.fault(task, addr, kind)
+                buf.size = n + 1
+
+            def via_fault_batch(kernel, task, buf, addr, kind):
+                n = buf.size
+                kernel.fault_batch(task, addr, 2, kind)
+                buf.size = n + 1
+
+            def via_wire_range(kernel, task, buf, addr):
+                n = buf.size
+                kernel.wire_range(task, addr, 4096)
+                buf.size = n + 1
+            """))
+        report = run_flow_passes(root, "repro", passes=("atomicity",))
+        assert report.errors == []
+        return {(f.module, f.rule, f.where) for f in report.findings}
+
+    @pytest.mark.parametrize("where", [
+        "via_fault", "via_fault_batch", "via_wire_range"])
+    def test_kernel_fault_entry_points_may_yield(self, probed_tree, where):
+        """``kernel.fault`` reaches the resolver through the
+        ``fault_resolver`` seam and ``fault_batch``/``wire_range``
+        through ``vm_fault_batch``: each can block on a pager round
+        trip, so a read-call-write across it is a hazard."""
+        assert ("repro.pager._probe", "atomicity-hazard", where) \
+            in probed_tree
+
 
 class TestHookInversionRule:
     """Checked layers never import their checkers — the sanitizer
@@ -323,6 +364,16 @@ class TestHookInversionRule:
         (layered / "analysis" / "race.py").write_text(
             "from pkg.sched.scheduler import Scheduler\n")
         assert "hook-inversion" not in _rules(
+            lint_package(layered, package="pkg"))
+
+    @pytest.mark.parametrize("source", [
+        "from tests.difftest.reference import vm_fault_reference\n",
+        "import tests.difftest.harness\n",
+        "def boot():\n    from tests import difftest\n",
+    ])
+    def test_src_importing_tests_flagged(self, layered, source):
+        (layered / "core" / "kernel.py").write_text(source)
+        assert "test-import" in _rules(
             lint_package(layered, package="pkg"))
 
 
