@@ -32,41 +32,42 @@ L2_SPAN = 4 * MB
 class I386StylePmap(Pmap):
     """The whole machine-dependent module for the new architecture.
 
-    Only the five single-hardware-page hooks are required; the base
-    class supplies pv-table maintenance, Mach-page fan-out, statistics,
-    reference counting and TLB shootdown.
+    Only the four single-hardware-page hooks and the table shape are
+    required: ``self._tables`` is the page directory (slot -> {vpn ->
+    (frame, prot, wired)}) and ``TABLE_SPAN`` the bytes one level-2
+    table maps.  The base class supplies pv-table maintenance, Mach-page
+    fan-out, statistics, reference counting, TLB shootdown and the
+    range walk over the tables.
     """
 
-    def __init__(self, system, name: str = "") -> None:
-        super().__init__(system, name)
-        #: page-directory slot -> {vpn -> (frame, prot, wired)}.
-        self._directory: dict[int, dict] = {}
+    TABLE_SPAN = L2_SPAN
 
     def _locate(self, vaddr: int) -> tuple[int, int]:
         return vaddr // L2_SPAN, vaddr // self.hw_page_size
 
     def _hw_enter(self, vaddr, paddr, prot, wired) -> None:
         slot, vpn = self._locate(vaddr)
-        table = self._directory.setdefault(slot, {})
-        if len(table) == 1:       # new table: charge its allocation
+        table = self._tables.get(slot)
+        if table is None:         # new table: charge its allocation
             self.machine.clock.charge(
                 self.machine.costs.pt_page_alloc_us)
+            table = self._tables[slot] = {}
         frame = paddr - (paddr % self.hw_page_size)
         table[vpn] = (frame, prot, wired)
 
     def _hw_remove(self, vaddr) -> Optional[int]:
         slot, vpn = self._locate(vaddr)
-        table = self._directory.get(slot)
+        table = self._tables.get(slot)
         if table is None:
             return None
         entry = table.pop(vpn, None)
         if not table:
-            del self._directory[slot]
+            del self._tables[slot]
         return entry[0] if entry else None
 
     def _hw_protect(self, vaddr, prot) -> bool:
         slot, vpn = self._locate(vaddr)
-        table = self._directory.get(slot)
+        table = self._tables.get(slot)
         if table is None or vpn not in table:
             return False
         frame, _, wired = table[vpn]
@@ -75,7 +76,7 @@ class I386StylePmap(Pmap):
 
     def _hw_lookup(self, vaddr):
         slot, vpn = self._locate(vaddr)
-        table = self._directory.get(slot)
+        table = self._tables.get(slot)
         if table is None:
             return None
         entry = table.get(vpn)
@@ -83,18 +84,11 @@ class I386StylePmap(Pmap):
             return None
         return entry[0], entry[1]
 
-    def _hw_iter(self, start, end):
-        first = start // self.hw_page_size
-        last = (end + self.hw_page_size - 1) // self.hw_page_size
-        for slot in sorted(self._directory):
-            for vpn in sorted(self._directory[slot]):
-                if first <= vpn < last:
-                    yield vpn * self.hw_page_size
-
 
 def main() -> None:
     print("registering the new pmap class "
-          f"({I386StylePmap.__name__}, one module, five hooks)...")
+          f"({I386StylePmap.__name__}, one module, four hooks "
+          "and a table span)...")
     register_pmap("i386-style", I386StylePmap, replace=True)
 
     spec = MachineSpec(

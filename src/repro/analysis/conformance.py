@@ -33,6 +33,10 @@ For every registered pmap class the verifier checks:
   to ``super()`` (whose implementation shoots down) or call
   ``shootdown`` itself; a pmap that mutates silently would *lie*
   (rule ``missing-invalidate``);
+* **declared table shape** — a pmap that inherits the base class's
+  table walk (``_hw_iter``) must declare ``TABLE_SPAN``, the bytes one
+  of its second-level tables maps; without it the first range
+  operation would fail at run time (rule ``missing-table-span``);
 * **no reach-around imports** — the defining module must not import
   machine-independent state (``repro.core.*`` beyond the shared
   vocabulary, the pager, or IPC); all VM information a pmap needs
@@ -56,7 +60,7 @@ from repro.analysis.flow import Finding
 PASS_NAME = "conformance"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "2"
+PASS_VERSION = "3"
 
 #: Methods every pmap must export (Table 3-3 + 3-4 + simulation hooks).
 CONTRACT_METHODS = (
@@ -216,6 +220,20 @@ def _check_invalidation(name: str, cls: type, base: type) -> list[Finding]:
     return findings
 
 
+def _check_table_span(name: str, cls: type, base: type) -> list[Finding]:
+    if getattr(cls, "_hw_iter", None) is not base._hw_iter:
+        return []
+    span = getattr(cls, "TABLE_SPAN", None)
+    if isinstance(span, int) and span > 0:
+        return []
+    return [_finding(
+        cls, _class_lineno(cls), "missing-table-span",
+        f"pmap {name!r} ({cls.__name__}) inherits the base _hw_iter "
+        f"table walk but declares no TABLE_SPAN (got {span!r}); set it "
+        f"to the bytes one second-level table in self._tables maps, or "
+        f"override _hw_iter")]
+
+
 def _module_imports(module_name: str) -> list[tuple[str, int]]:
     import importlib.util
     spec = importlib.util.find_spec(module_name)
@@ -276,6 +294,7 @@ def verify_pmap_class(name: str, cls: Type) -> list[Finding]:
     findings = _check_coverage(name, cls)
     findings += _check_signatures(name, cls, base)
     findings += _check_invalidation(name, cls, base)
+    findings += _check_table_span(name, cls, base)
     findings += _check_imports(name, cls, base)
     return findings
 

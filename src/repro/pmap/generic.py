@@ -27,9 +27,13 @@ from repro.pmap.interface import Pmap
 class GenericPmap(Pmap):
     """Software map: hardware-page VPN -> (frame, protection, wired)."""
 
+    #: One table covering the whole virtual space.
+    TABLE_SPAN = 1 << 64
+
     def __init__(self, system, name: str = "") -> None:
         super().__init__(system, name)
         self._table: dict[int, tuple[int, VMProt, bool]] = {}
+        self._tables[0] = self._table
 
     def _vpn(self, vaddr: int) -> int:
         return vaddr // self.hw_page_size
@@ -60,18 +64,6 @@ class GenericPmap(Pmap):
             return None
         frame, prot, _ = entry
         return frame, prot
-
-    def _hw_iter(self, start: int, end: int):
-        first = start // self.hw_page_size
-        last = (end + self.hw_page_size - 1) // self.hw_page_size
-        if len(self._table) < (last - first):
-            for vpn in sorted(self._table):
-                if first <= vpn < last:
-                    yield vpn * self.hw_page_size
-        else:
-            for vpn in range(first, last):
-                if vpn in self._table:
-                    yield vpn * self.hw_page_size
 
     def _hw_destroy(self) -> None:
         self._table.clear()

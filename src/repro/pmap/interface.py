@@ -29,7 +29,7 @@ import enum
 import itertools
 from typing import Optional
 
-from repro.core.constants import FaultType, VMProt, trunc_page
+from repro.core.constants import FaultType, VMProt
 from repro.hw.machine import Machine
 
 _pmap_ids = itertools.count(1)
@@ -112,7 +112,7 @@ class PmapSystem:
     # ------------------------------------------------------------------
 
     def _frame(self, paddr: int) -> int:
-        return trunc_page(paddr, self.page_size)
+        return paddr - paddr % self.page_size
 
     def note_access(self, paddr: int, write: bool) -> None:
         """Called by the MMU on every successful translation."""
@@ -214,8 +214,6 @@ class PmapSystem:
         which may never reuse a frame while any TLB can still reach it.
         """
         self.shootdowns += 1
-        costs = self.machine.costs
-        clock = self.machine.clock
         strategy = self.strategy
         if force and strategy is ShootdownStrategy.LAZY:
             strategy = ShootdownStrategy.IMMEDIATE
@@ -240,38 +238,45 @@ class PmapSystem:
                 strategy=strategy, declared=self.strategy, forced=force,
                 actions=tuple((cpu.cpu_id, action)
                               for cpu, action in plan))
-        def execute() -> None:
-            for cpu, action in plan:
-
-                def flush(cpu=cpu, pmap=pmap, start=start,
-                          end=end) -> None:
-                    clock.charge(costs.tlb_flush_entry_us)
-                    cpu.tlb.invalidate_range(pmap, start, end)
-
-                if action == "local":
-                    flush()
-                elif action == "ipi":
-                    self.ipis_sent += 1
-                    cpu.deliver_ipi(flush)
-                elif action == "deferred":
-                    self.deferred_flushes += 1
-                    cpu.defer_flush(flush)
-                # LAZY: temporary inconsistency is allowed; the entry
-                # dies whenever that CPU next switches pmaps or takes
-                # a flush.
-
-        if self.events.active:
             # The stage span covers plan *execution* only (the
             # synchronous flush/IPI cost); the ``pmap/shootdown``
             # instant above stays first — the race detector's window
             # must open before any flush lands.
             with self.events.span("stage", "shootdown",
                                   cpus=len(plan)):
-                execute()
+                self._execute_plan(plan, pmap, start, end)
         else:
-            execute()
+            self._execute_plan(plan, pmap, start, end)
         if self.debug_hook is not None:
             self.debug_hook()
+
+    def _execute_plan(self, plan: list[tuple], pmap: "Pmap", start: int,
+                      end: int) -> None:
+        """Carry out a shootdown plan.  The local CPU flushes inline;
+        only a remote CPU's flush, which runs later, needs a closure."""
+        clock = self.machine.clock
+        costs = self.machine.costs
+        for cpu, action in plan:
+            if action == "local":
+                clock.charge(costs.tlb_flush_entry_us)
+                cpu.tlb.invalidate_range(pmap, start, end)
+                continue
+            if action == "lazy":
+                # Temporary inconsistency is allowed; the entry dies
+                # whenever that CPU next switches pmaps or takes a
+                # flush.
+                continue
+
+            def flush(cpu=cpu) -> None:
+                clock.charge(costs.tlb_flush_entry_us)
+                cpu.tlb.invalidate_range(pmap, start, end)
+
+            if action == "ipi":
+                self.ipis_sent += 1
+                cpu.deliver_ipi(flush)
+            else:
+                self.deferred_flushes += 1
+                cpu.defer_flush(flush)
 
     def update(self) -> None:
         """``pmap_update``: bring the whole pmap system up to date —
@@ -288,13 +293,27 @@ class Pmap(abc.ABC):
     for one task (or the kernel).
 
     Concrete subclasses implement only the single-hardware-page hooks
-    (``_hw_enter``/``_hw_remove``/``_hw_protect``/``_hw_lookup``); this
-    base class handles Mach-page-to-hardware-page fan-out, pv-table
-    maintenance, cost accounting, statistics and TLB shootdown, so each
-    machine's module stays small — the paper measures the VAX pmap
-    module at "approximately 6K bytes ... about the size of a device
-    driver."
+    (``_hw_enter``/``_hw_remove``/``_hw_protect``/``_hw_lookup``) and
+    declare their table shape: ``TABLE_SPAN`` bytes of virtual space
+    per second-level table, whose entries live in
+    ``self._tables[vaddr // TABLE_SPAN][vpn]``.  This base class handles
+    Mach-page-to-hardware-page fan-out, pv-table maintenance, cost
+    accounting, statistics, TLB shootdown and the walk over the tables,
+    so each machine's module stays small — the paper measures the VAX
+    pmap module at "approximately 6K bytes ... about the size of a
+    device driver."  A pmap without a two-level table (the RT PC's
+    inverted table) overrides ``_hw_iter`` instead.
+
+    Range operations work in whole Mach pages (the pv table and the MI
+    layer know no smaller unit) and cost what the range holds, not what
+    the pmap holds: a one-Mach-page operation probes only its own
+    hardware pages, and a wider one walks only the tables it overlaps.
     """
+
+    #: Bytes of virtual space one second-level table maps, a multiple
+    #: of the hardware page size; None for a pmap that overrides
+    #: :meth:`_hw_iter`.
+    TABLE_SPAN: Optional[int] = None
 
     def __init__(self, system: PmapSystem, name: str = "") -> None:
         self.system = system
@@ -309,6 +328,9 @@ class Pmap(abc.ABC):
         #: CPUs whose TLBs may still hold entries of this pmap.
         self.cpus_tainted: set[int] = set()
         self.stats = PmapStats()
+        #: table index (``vaddr // TABLE_SPAN``) -> {vpn -> MD entry};
+        #: a table exists only while it holds an entry.
+        self._tables: dict[int, dict[int, tuple]] = {}
 
     # -- reference counting (pmap_reference / pmap_destroy) -------------
 
@@ -345,12 +367,58 @@ class Pmap(abc.ABC):
     def _hw_lookup(self, vaddr: int) -> Optional[tuple[int, VMProt]]:
         """(hardware-frame physical base, protection) or None."""
 
-    @abc.abstractmethod
     def _hw_iter(self, start: int, end: int):
-        """Yield the virtual addresses (hardware-page aligned) of every
-        mapping this pmap holds inside [start, end).  Lets range
-        operations touch only existing mappings instead of walking every
-        page of a potentially huge (sparse) range."""
+        """Yield, in ascending order, the virtual addresses (hardware-
+        page aligned) of every mapping this pmap holds inside
+        [start, end).
+
+        Visits only the tables that overlap the range (or the sorted
+        table indices, when the range spans more tables than exist), and
+        inside each probes the overlapping vpns (or sorts the table,
+        when it holds fewer entries than the range spans)."""
+        hw = self.hw_page_size
+        per_table = self.TABLE_SPAN // hw
+        first = start // hw
+        last = -(-end // hw)
+        if last <= first:
+            return
+        tables = self._tables
+        lo = first // per_table
+        hi = (last - 1) // per_table + 1
+        if hi - lo > len(tables):
+            indices = [i for i in sorted(tables) if lo <= i < hi]
+        else:
+            indices = [i for i in range(lo, hi) if i in tables]
+        for index in indices:
+            table = tables[index]
+            low = max(first, index * per_table)
+            high = min(last, (index + 1) * per_table)
+            if len(table) < high - low:
+                for vpn in sorted(table):
+                    if low <= vpn < high:
+                        yield vpn * hw
+            else:
+                for vpn in range(low, high):
+                    if vpn in table:
+                        yield vpn * hw
+
+    def _mach_bounds(self, start: int, end: int) -> tuple[int, int]:
+        """[start, end) widened to whole Mach pages (empty stays
+        empty)."""
+        page = self.page_size
+        first = start - start % page
+        if end <= start:
+            return first, first
+        return first, end + (-end) % page
+
+    def _hw_candidates(self, first: int, last: int):
+        """The hardware-page addresses to visit in the Mach-page-aligned
+        range [first, last): one Mach page probes its own hardware
+        pages (the ``_hw_*`` hooks answer None for holes); a wider
+        range walks only the mappings it holds."""
+        if last - first == self.page_size:
+            return range(first, last, self.hw_page_size)
+        return list(self._hw_iter(first, last))
 
     def _hw_destroy(self) -> None:
         """Release machine-dependent storage (page tables etc.)."""
@@ -426,27 +494,33 @@ class Pmap(abc.ABC):
             self.system.shootdown(self, start, end)
 
     def remove(self, start: int, end: int, shoot: bool = True) -> bool:
-        """``pmap_remove``: remove all mappings in [start, end)
-        ("[Used in memory deallocation]").  Returns whether any mapping
-        was removed (callers passing ``shoot=False`` owe a shootdown
-        when it returns True)."""
+        """``pmap_remove``: remove all mappings in the Mach pages
+        [start, end) overlaps ("[Used in memory deallocation]").
+        Returns whether any mapping was removed (callers passing
+        ``shoot=False`` owe a shootdown when it returns True)."""
         self.stats.removes += 1
+        first, last = self._mach_bounds(start, end)
+        page = self.page_size
         removed_any = False
-        for va in list(self._hw_iter(trunc_page(start, self.hw_page_size),
-                                     end)):
+        pv_va = None
+        for va in self._hw_candidates(first, last):
             paddr = self._hw_remove(va)
             if paddr is None:
                 continue
             removed_any = True
-            mach_va = trunc_page(va, self.page_size)
-            mach_pa = trunc_page(paddr, self.page_size)
-            self.system.pv_remove(self, mach_va, mach_pa)
+            mach_va = va - va % page
+            if mach_va != pv_va:
+                # One pv entry per Mach page, however many hardware
+                # pages it spans.
+                pv_va = mach_va
+                self.system.pv_remove(self, mach_va, paddr)
         if removed_any and shoot:
-            self.system.shootdown(self, start, end)
+            self.system.shootdown(self, first, last)
         return removed_any
 
     def protect(self, start: int, end: int, prot: VMProt) -> None:
-        """``pmap_protect``: restrict protection on [start, end).
+        """``pmap_protect``: restrict protection on the Mach pages
+        [start, end) overlaps.
 
         A protection of NONE removes the mappings entirely.  Each
         existing mapping's protection is *intersected* with *prot*,
@@ -460,9 +534,9 @@ class Pmap(abc.ABC):
             self.remove(start, end)
             return
         self.stats.protects += 1
+        first, last = self._mach_bounds(start, end)
         changed = False
-        for va in list(self._hw_iter(trunc_page(start, self.hw_page_size),
-                                     end)):
+        for va in self._hw_candidates(first, last):
             hit = self._hw_lookup(va)
             if hit is None:
                 continue
@@ -475,7 +549,7 @@ class Pmap(abc.ABC):
         if changed:
             # Lowering permissions must reach remote TLBs; the pageout
             # and COW paths depend on it.
-            self.system.shootdown(self, start, end)
+            self.system.shootdown(self, first, last)
 
     def extract(self, vaddr: int) -> Optional[int]:
         """``pmap_extract``: convert virtual to physical (or None)."""

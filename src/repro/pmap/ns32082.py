@@ -45,12 +45,15 @@ L2_SPAN = 64 * 1024
 
 
 class Ns32082Pmap(Pmap):
-    """Two-level page table with the chip's limits and erratum."""
+    """Two-level page table with the chip's limits and erratum.
+
+    ``_tables`` is the level-1 table: index -> {vpn -> (frame, prot,
+    wired)}."""
+
+    TABLE_SPAN = L2_SPAN
 
     def __init__(self, system, name: str = "") -> None:
         super().__init__(system, name)
-        #: level-1 index -> {vpn -> (frame, prot, wired)}.
-        self._l1: dict[int, dict[int, tuple[int, VMProt, bool]]] = {}
         self.rmw_upgrades = 0
 
     def _locate(self, vaddr: int) -> tuple[int, int]:
@@ -67,29 +70,29 @@ class Ns32082Pmap(Pmap):
                 f"NS32082 addresses only {PA_LIMIT:#x} bytes of "
                 f"physical memory; got {paddr:#x}")
         l1_index, vpn = self._locate(vaddr)
-        table = self._l1.get(l1_index)
+        table = self._tables.get(l1_index)
         if table is None:
             self.machine.clock.charge(self.machine.costs.pt_page_alloc_us)
             table = {}
-            self._l1[l1_index] = table
+            self._tables[l1_index] = table
         frame = paddr - (paddr % self.hw_page_size)
         table[vpn] = (frame, prot, wired)
 
     def _hw_remove(self, vaddr: int) -> Optional[int]:
         l1_index, vpn = self._locate(vaddr)
-        table = self._l1.get(l1_index)
+        table = self._tables.get(l1_index)
         if table is None:
             return None
         entry = table.pop(vpn, None)
         if not table:
-            del self._l1[l1_index]
+            del self._tables[l1_index]
         if entry is None:
             return None
         return entry[0]
 
     def _hw_protect(self, vaddr: int, prot: VMProt) -> bool:
         l1_index, vpn = self._locate(vaddr)
-        table = self._l1.get(l1_index)
+        table = self._tables.get(l1_index)
         if table is None or vpn not in table:
             return False
         frame, _, wired = table[vpn]
@@ -98,7 +101,7 @@ class Ns32082Pmap(Pmap):
 
     def _hw_lookup(self, vaddr: int) -> Optional[tuple[int, VMProt]]:
         l1_index, vpn = self._locate(vaddr)
-        table = self._l1.get(l1_index)
+        table = self._tables.get(l1_index)
         if table is None:
             return None
         entry = table.get(vpn)
@@ -107,16 +110,8 @@ class Ns32082Pmap(Pmap):
         frame, prot, _ = entry
         return frame, prot
 
-    def _hw_iter(self, start: int, end: int):
-        first = start // self.hw_page_size
-        last = (end + self.hw_page_size - 1) // self.hw_page_size
-        for l1_index in sorted(self._l1):
-            for vpn in sorted(self._l1[l1_index]):
-                if first <= vpn < last:
-                    yield vpn * self.hw_page_size
-
     def _hw_destroy(self) -> None:
-        self._l1.clear()
+        self._tables.clear()
 
     # -- the erratum workaround ---------------------------------------------
 

@@ -115,12 +115,22 @@ class RtPcPmap(Pmap):
         return frame, prot
 
     def _hw_iter(self, start: int, end: int):
-        first = start // self.hw_page_size
-        last = (end + self.hw_page_size - 1) // self.hw_page_size
-        mine = [vpn for (pid, vpn) in self._ipt.hash
-                if pid == self.pmap_id and first <= vpn < last]
+        """No per-task table to walk: probe the machine-wide hash for
+        each page of a range narrower than the hash, else scan it."""
+        hw = self.hw_page_size
+        first = start // hw
+        last = -(-end // hw)
+        table = self._ipt.hash
+        pmap_id = self.pmap_id
+        if last - first < len(table):
+            for vpn in range(first, last):
+                if (pmap_id, vpn) in table:
+                    yield vpn * hw
+            return
+        mine = [vpn for (pid, vpn) in table
+                if pid == pmap_id and first <= vpn < last]
         for vpn in sorted(mine):
-            yield vpn * self.hw_page_size
+            yield vpn * hw
 
     def _hw_destroy(self) -> None:
         stale = [key for key in self._ipt.hash if key[0] == self.pmap_id]

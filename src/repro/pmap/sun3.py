@@ -63,7 +63,12 @@ class ContextPool:
 
 
 class Sun3Pmap(Pmap):
-    """Segment-mapped per-context translations."""
+    """Segment-mapped per-context translations.
+
+    ``_tables`` holds the loaded segments: segment index ->
+    {vpn -> (frame, prot, wired)}."""
+
+    TABLE_SPAN = SEGMENT_SPAN
 
     def __init__(self, system, name: str = "") -> None:
         super().__init__(system, name)
@@ -71,8 +76,6 @@ class Sun3Pmap(Pmap):
         self._pool: ContextPool = system.md_shared.setdefault(
             "sun3_contexts", ContextPool(ncontexts))
         self._has_context = False
-        #: segment index -> {vpn -> (frame, prot, wired)}.
-        self._segments: dict[int, dict[int, tuple[int, VMProt, bool]]] = {}
         self.segments_loaded = 0
 
     # -- context management ---------------------------------------------------
@@ -84,10 +87,10 @@ class Sun3Pmap(Pmap):
         # Drop mappings through the normal remove path so the pv table
         # and remote TLBs stay consistent (the mappings are hardware
         # state that just ceased to exist).
-        for segment in list(self._segments.values()):
+        for segment in list(self._tables.values()):
             for vpn in list(segment):
                 self.forget(vpn * self.hw_page_size)
-        self._segments.clear()
+        self._tables.clear()
 
     def _ensure_context(self) -> None:
         if not self._has_context:
@@ -111,30 +114,30 @@ class Sun3Pmap(Pmap):
                   wired: bool) -> None:
         self._ensure_context()
         seg_index, vpn = self._locate(vaddr)
-        segment = self._segments.get(seg_index)
+        segment = self._tables.get(seg_index)
         if segment is None:
             self.machine.clock.charge(self.machine.costs.segment_load_us)
             self.segments_loaded += 1
             segment = {}
-            self._segments[seg_index] = segment
+            self._tables[seg_index] = segment
         frame = paddr - (paddr % self.hw_page_size)
         segment[vpn] = (frame, prot, wired)
 
     def _hw_remove(self, vaddr: int) -> Optional[int]:
         seg_index, vpn = self._locate(vaddr)
-        segment = self._segments.get(seg_index)
+        segment = self._tables.get(seg_index)
         if segment is None:
             return None
         entry = segment.pop(vpn, None)
         if not segment:
-            del self._segments[seg_index]
+            del self._tables[seg_index]
         if entry is None:
             return None
         return entry[0]
 
     def _hw_protect(self, vaddr: int, prot: VMProt) -> bool:
         seg_index, vpn = self._locate(vaddr)
-        segment = self._segments.get(seg_index)
+        segment = self._tables.get(seg_index)
         if segment is None or vpn not in segment:
             return False
         frame, _, wired = segment[vpn]
@@ -147,7 +150,7 @@ class Sun3Pmap(Pmap):
             # and the fault path (pmap_enter) re-acquires a context.
             return None
         seg_index, vpn = self._locate(vaddr)
-        segment = self._segments.get(seg_index)
+        segment = self._tables.get(seg_index)
         if segment is None:
             return None
         entry = segment.get(vpn)
@@ -156,14 +159,6 @@ class Sun3Pmap(Pmap):
         frame, prot, _ = entry
         return frame, prot
 
-    def _hw_iter(self, start: int, end: int):
-        first = start // self.hw_page_size
-        last = (end + self.hw_page_size - 1) // self.hw_page_size
-        for seg_index in sorted(self._segments):
-            for vpn in sorted(self._segments[seg_index]):
-                if first <= vpn < last:
-                    yield vpn * self.hw_page_size
-
     def _hw_destroy(self) -> None:
         self._pool.release(self)
-        self._segments.clear()
+        self._tables.clear()

@@ -141,9 +141,7 @@ class Sun3VacPmap(Sun3Pmap):
         # Write back any live lines for frames mapped in the range
         # before their mappings (and possibly the pages) go away.
         """Remove mappings, flushing live cache windows first."""
-        for va in list(self._hw_iter(trunc_page(start,
-                                                self.hw_page_size),
-                                     end)):
+        for va in self._hw_candidates(*self._mach_bounds(start, end)):
             hit = self._hw_lookup(va)
             if hit is None:
                 continue
@@ -159,8 +157,8 @@ class Sun3VacPmap(Sun3Pmap):
             # Downgrading to read-only (the COW path): dirty lines must
             # reach memory first, or a copy made from the frame would
             # miss them.
-            for va in list(self._hw_iter(
-                    trunc_page(start, self.hw_page_size), end)):
+            for va in self._hw_candidates(*self._mach_bounds(start,
+                                                             end)):
                 hit = self._hw_lookup(va)
                 if hit is None or not hit[1].allows(VMProt.WRITE):
                     continue

@@ -40,29 +40,32 @@ P0_LIMIT = 0x4000_0000
 
 
 class VaxPmap(Pmap):
-    """Sparse VAX page tables (P0/P1 regions)."""
+    """Sparse VAX page tables (P0/P1 regions).
+
+    ``_tables`` holds the resident PT pages: pt-page index ->
+    {vpn -> (frame, prot, wired)}."""
+
+    #: Virtual bytes one PT page maps (64 KB).
+    TABLE_SPAN = PTES_PER_PT_PAGE * VAX_HW_PAGE
 
     def __init__(self, system, name: str = "") -> None:
         super().__init__(system, name)
-        #: pt-page index -> {slot -> (frame, prot, wired)}.
-        self._pt_pages: dict[int, dict[int, tuple[int, VMProt, bool]]] = {}
         self.pt_pages_peak = 0
 
     # -- page-table geometry ------------------------------------------------
 
     def _locate(self, vaddr: int) -> tuple[int, int]:
-        """(pt-page index, slot) for a virtual address."""
-        vpn = vaddr // self.hw_page_size
-        return vpn // PTES_PER_PT_PAGE, vpn % PTES_PER_PT_PAGE
+        """(pt-page index, vpn) for a virtual address."""
+        return vaddr // self.TABLE_SPAN, vaddr // self.hw_page_size
 
     @property
     def pt_pages_resident(self) -> int:
         """PT pages currently wired in (simulated) physical memory."""
-        return len(self._pt_pages)
+        return len(self._tables)
 
     def pt_bytes(self) -> int:
         """Bytes of page-table space currently committed."""
-        return len(self._pt_pages) * VAX_HW_PAGE
+        return len(self._tables) * VAX_HW_PAGE
 
     @staticmethod
     def full_linear_pt_bytes(va_span: int) -> int:
@@ -77,65 +80,50 @@ class VaxPmap(Pmap):
         if vaddr >= P1_LIMIT:
             raise ValueError(
                 f"{vaddr:#x} is in VAX system space; user pmaps map P0/P1")
-        pt_index, slot = self._locate(vaddr)
-        page = self._pt_pages.get(pt_index)
+        pt_index, vpn = self._locate(vaddr)
+        page = self._tables.get(pt_index)
         if page is None:
             # Construct this part of the page table on demand.
             self.machine.clock.charge(self.machine.costs.pt_page_alloc_us)
             page = {}
-            self._pt_pages[pt_index] = page
+            self._tables[pt_index] = page
             self.pt_pages_peak = max(self.pt_pages_peak,
-                                     len(self._pt_pages))
+                                     len(self._tables))
         frame = paddr - (paddr % self.hw_page_size)
-        page[slot] = (frame, prot, wired)
+        page[vpn] = (frame, prot, wired)
 
     def _hw_remove(self, vaddr: int) -> Optional[int]:
-        pt_index, slot = self._locate(vaddr)
-        page = self._pt_pages.get(pt_index)
+        pt_index, vpn = self._locate(vaddr)
+        page = self._tables.get(pt_index)
         if page is None:
             return None
-        entry = page.pop(slot, None)
+        entry = page.pop(vpn, None)
         if not page:
             # "destroyed as necessary to conserve space".
-            del self._pt_pages[pt_index]
+            del self._tables[pt_index]
         if entry is None:
             return None
         return entry[0]
 
     def _hw_protect(self, vaddr: int, prot: VMProt) -> bool:
-        pt_index, slot = self._locate(vaddr)
-        page = self._pt_pages.get(pt_index)
-        if page is None or slot not in page:
+        pt_index, vpn = self._locate(vaddr)
+        page = self._tables.get(pt_index)
+        if page is None or vpn not in page:
             return False
-        frame, _, wired = page[slot]
-        page[slot] = (frame, prot, wired)
+        frame, _, wired = page[vpn]
+        page[vpn] = (frame, prot, wired)
         return True
 
     def _hw_lookup(self, vaddr: int) -> Optional[tuple[int, VMProt]]:
-        pt_index, slot = self._locate(vaddr)
-        page = self._pt_pages.get(pt_index)
+        pt_index, vpn = self._locate(vaddr)
+        page = self._tables.get(pt_index)
         if page is None:
             return None
-        entry = page.get(slot)
+        entry = page.get(vpn)
         if entry is None:
             return None
         frame, prot, _ = entry
         return frame, prot
 
-    def _hw_iter(self, start: int, end: int):
-        first_vpn = start // self.hw_page_size
-        last_vpn = (end + self.hw_page_size - 1) // self.hw_page_size
-        first_pt = first_vpn // PTES_PER_PT_PAGE
-        last_pt = last_vpn // PTES_PER_PT_PAGE
-        for pt_index in sorted(self._pt_pages):
-            if pt_index < first_pt or pt_index > last_pt:
-                continue
-            page = self._pt_pages[pt_index]
-            base_vpn = pt_index * PTES_PER_PT_PAGE
-            for slot in sorted(page):
-                vpn = base_vpn + slot
-                if first_vpn <= vpn < last_vpn:
-                    yield vpn * self.hw_page_size
-
     def _hw_destroy(self) -> None:
-        self._pt_pages.clear()
+        self._tables.clear()

@@ -15,16 +15,20 @@ from repro.analysis.conformance import (
 from repro.pmap import registry
 from repro.pmap.interface import Pmap
 
-STUB = (Path(__file__).parent / "data" / "flow_fixtures"
-        / "bad_pmap_stub.py")
+FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
+
+
+def _load_fixture(stem: str):
+    spec = importlib.util.spec_from_file_location(
+        stem, FIXTURES / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def bad_pmap():
-    spec = importlib.util.spec_from_file_location("bad_pmap_stub", STUB)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.BadPmap
+    return _load_fixture("bad_pmap_stub").BadPmap
 
 
 class TestShippedPmapsConform:
@@ -85,3 +89,19 @@ class TestDegenerateClasses:
         findings = verify_pmap_class("half", HalfPort)
         assert any(f.rule == "incomplete-interface"
                    and "_hw_" in f.message for f in findings)
+
+
+class TestTableSpan:
+    def test_inherited_walk_without_span_is_flagged(self):
+        cls = _load_fixture("no_table_span_pmap").NoSpanPmap
+        findings = verify_pmap_class("no-span", cls)
+        assert [f.rule for f in findings] == ["missing-table-span"]
+        assert "TABLE_SPAN" in findings[0].message
+        assert "_hw_iter" in findings[0].message
+
+    def test_overriding_the_walk_needs_no_span(self):
+        from repro.pmap.rt_pc import RtPcPmap
+
+        assert RtPcPmap.TABLE_SPAN is None
+        assert RtPcPmap._hw_iter is not Pmap._hw_iter
+        assert verify_pmap_class("rt_pc", RtPcPmap) == []

@@ -6,6 +6,11 @@ with two architecture-specific licenses:
   model only requires that a present mapping is **correct**, never that
   a mapping is present;
 * the pv table must exactly track whatever mappings exist.
+
+The window of pages straddles 128 KB, so it crosses NS32082 level-2
+table and VAX PT-page edges (every 64 KB) and a SUN 3 segment edge
+(128 KB); remove and protect ranges may start or end inside a Mach page,
+and then cover every Mach page they overlap.
 """
 
 from __future__ import annotations
@@ -32,7 +37,13 @@ ARCHS = {
                     va_limit=16 * MB),
 }
 
-NPAGES = 8
+KB = 1024
+#: First page of the window: a few pages below the 128 KB edge.
+BASE = 128 * KB - 32 * KB
+NPAGES = 24
+#: Byte offsets by which a range may start late or end early inside
+#: its first or last Mach page.
+OFFSETS = [0, 1, 512, 2047, 2048, 4095]
 PROTS = [VMProt.READ, VMProt.DEFAULT, VMProt.ALL,
          VMProt.READ | VMProt.EXECUTE]
 
@@ -41,9 +52,11 @@ ops_strategy = st.lists(
         st.tuples(st.just("enter"), st.integers(0, NPAGES - 1),
                   st.integers(0, 3), st.sampled_from(PROTS)),
         st.tuples(st.just("remove"), st.integers(0, NPAGES - 1),
-                  st.integers(1, 3)),
+                  st.integers(1, 3), st.sampled_from(OFFSETS),
+                  st.sampled_from(OFFSETS)),
         st.tuples(st.just("protect"), st.integers(0, NPAGES - 1),
-                  st.sampled_from(PROTS)),
+                  st.integers(1, 2), st.sampled_from(OFFSETS),
+                  st.sampled_from(OFFSETS), st.sampled_from(PROTS)),
         st.tuples(st.just("remove_all"), st.integers(0, 3)),
     ),
     min_size=1, max_size=25)
@@ -66,28 +79,33 @@ class TestPmapModel:
         #: hold.  The real pmap may hold any subset.
         model: dict[int, tuple[int, VMProt]] = {}
 
+        def span(vpn, count, head, tail):
+            """The byte range, and the window pages it overlaps."""
+            start = BASE + vpn * page + head
+            end = BASE + (vpn + count) * page - tail
+            return start, end, range(vpn, vpn + count if end > start
+                                     else vpn)
+
         for op in ops:
             if op[0] == "enter":
                 _, vpn, frame_index, prot = op
-                pmap.enter(vpn * page, frames[frame_index], prot)
+                pmap.enter(BASE + vpn * page, frames[frame_index], prot)
                 model[vpn] = (frames[frame_index], prot)
             elif op[0] == "remove":
-                _, vpn, count = op
-                pmap.remove(vpn * page, (vpn + count) * page)
-                for v in range(vpn, vpn + count):
+                start, end, touched = span(*op[1:])
+                pmap.remove(start, end)
+                for v in touched:
                     model.pop(v, None)
             elif op[0] == "protect":
-                _, vpn, prot = op
-                pmap.protect(vpn * page, (vpn + 1) * page, prot)
-                if vpn in model:
-                    # pmap_protect only ever restricts: the new
-                    # protection is intersected with the mapping's,
-                    # never raised (raising happens at fault time).
-                    if prot is VMProt.NONE:
-                        del model[vpn]
-                    else:
-                        model[vpn] = (model[vpn][0],
-                                      model[vpn][1] & prot)
+                start, end, touched = span(*op[1:5])
+                prot = op[5]
+                pmap.protect(start, end, prot)
+                for v in touched:
+                    if v in model:
+                        # pmap_protect only ever restricts: the new
+                        # protection is intersected with the mapping's,
+                        # never raised (raising happens at fault time).
+                        model[v] = (model[v][0], model[v][1] & prot)
             else:
                 _, frame_index = op
                 kernel.pmap_system.remove_all(frames[frame_index])
@@ -98,21 +116,24 @@ class TestPmapModel:
             self._check(kernel, pmap, model, page)
 
     def _check(self, kernel, pmap, model, page) -> None:
+        hw = pmap.hw_page_size
         for vpn in range(NPAGES):
-            hit = pmap.hw_lookup(vpn * page)
-            if vpn not in model:
-                assert hit is None, \
-                    f"pmap invented a mapping at vpn {vpn}"
-            elif hit is not None:
-                # Present mappings must agree with the model (absence
-                # is always permitted: "mappings may be thrown away at
-                # almost any time").
-                frame, prot = model[vpn]
-                assert hit[0] == frame
-                assert hit[1] == prot
-                # And must appear in the pv table.
-                mappings = kernel.pmap_system.mappings_of(frame)
-                assert (pmap, vpn * page) in mappings
+            vaddr = BASE + vpn * page
+            for off in range(0, page, hw):
+                hit = pmap.hw_lookup(vaddr + off)
+                if vpn not in model:
+                    assert hit is None, \
+                        f"pmap invented a mapping at {vaddr + off:#x}"
+                elif hit is not None:
+                    # Present mappings must agree with the model
+                    # (absence is always permitted: "mappings may be
+                    # thrown away at almost any time").
+                    frame, prot = model[vpn]
+                    assert hit[0] == frame + off
+                    assert hit[1] == prot
+                    # And must appear in the pv table.
+                    mappings = kernel.pmap_system.mappings_of(frame)
+                    assert (pmap, vaddr) in mappings
         # No pv entry may claim a mapping the hardware doesn't have.
         for frame_addr, mappings in list(
                 kernel.pmap_system._pv.items()):
