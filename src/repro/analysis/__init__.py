@@ -5,13 +5,15 @@
   hardware substrate);
 * :mod:`repro.analysis.invariants` — runtime sanitizer proving every
   pmap/TLB translation is a subset of machine-independent truth;
-* :mod:`repro.analysis.sweeps` — workload sweeps that drive the
-  sanitizer across all five pmap architectures;
 * :mod:`repro.analysis.race` — the concurrency sanitizer: the
   ``#: guarded-by`` contract (its static lint), the ``atomicity`` flow
   pass (stale shared state across a may-yield call, judged on the
   shared call-graph summaries), and a vector-clock happens-before
   checker for TLB shootdown;
+* :mod:`repro.analysis.matrix` — the one arch x scenario runner behind
+  the ``check`` sweeps, ``faultsweep`` and ``races``: cells armed with
+  the sanitizer, the race detector or the fault injector, over the
+  scenario library in :mod:`repro.analysis.scenarios`;
 * :mod:`repro.analysis.schedules` — schedule policies (seeded-random,
   recording/replay) and bounded DFS exploration of interleavings;
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.flow` — the AST→CFG
@@ -30,8 +32,8 @@
 * :mod:`repro.analysis.determinism` — no wall clock / unseeded
   randomness in replayed simulation code.
 
-Run the static checks via ``python -m repro check``; run the race
-storm via ``python -m repro races``.
+Run the static checks and the sweeps via ``python -m repro check``;
+run the race storm via ``python -m repro races``.
 """
 
 from repro.analysis.invariants import (
@@ -55,16 +57,20 @@ from repro.analysis.flow import (
     run_flow_passes,
 )
 from repro.analysis.layering import LintViolation, lint_package, lint_source_tree
+from repro.analysis.matrix import (
+    CellResult,
+    explore_shootdown,
+    run_faultsweep,
+    run_race_cell,
+    run_races,
+    run_sweeps,
+)
 from repro.analysis.race import (
-    RaceCellResult,
     RaceDetector,
     RaceReport,
-    explore_shootdown,
     lint_concurrency,
     lint_guarded_by,
     lint_source_concurrency,
-    run_race_cell,
-    run_races,
 )
 from repro.analysis.schedules import (
     ExplorationResult,
@@ -72,21 +78,19 @@ from repro.analysis.schedules import (
     SeededRandomPolicy,
     explore_schedules,
 )
-from repro.analysis.sweeps import SweepResult, run_sweeps
 
 __all__ = [
     "AnalysisError",
+    "CellResult",
     "ExplorationResult",
     "Finding",
     "FlowReport",
     "LintViolation",
-    "RaceCellResult",
     "RaceDetector",
     "RaceReport",
     "RecordingPolicy",
     "SanitizerError",
     "SeededRandomPolicy",
-    "SweepResult",
     "Violation",
     "assert_all",
     "check_all",
@@ -100,6 +104,7 @@ __all__ = [
     "lint_source_concurrency",
     "lint_source_tree",
     "load_baseline",
+    "run_faultsweep",
     "run_flow_passes",
     "run_race_cell",
     "run_races",

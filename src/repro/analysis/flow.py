@@ -28,7 +28,7 @@ import traceback
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.cfg import CFG, ENTRY, CFGNode
 from repro.analysis.layering import _module_name
@@ -298,8 +298,25 @@ def _analyze_module(module: str, tree: ast.AST, lines: list,
     return by_pass, errors
 
 
-#: Pre-fork state for the --jobs pool (fork inherits it copy-on-write;
-#: only the module name and the result dicts cross the pipe).
+def imap_cells(fn: Callable, items: Iterable,
+               jobs: Optional[int] = None) -> Iterator:
+    """``fn(item)`` for each item, in order.  With ``jobs > 1`` the
+    items fan out over a fork pool: workers inherit the parent's state,
+    so only *fn*'s name, the items and the results cross the pipe."""
+    items = list(items)
+    if jobs is not None and jobs > 1 and len(items) > 1:
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(min(jobs, len(items))) as pool:
+            yield from pool.imap(fn, items)
+    else:
+        yield from map(fn, items)
+
+
+#: What :func:`_pool_analyze` reads, set for one run: the --jobs pool's
+#: forks inherit it copy-on-write, so only the module name and the
+#: result dicts cross the pipe.
 _POOL_STATE: Optional[tuple] = None
 
 
@@ -352,7 +369,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     plus the modules whose summary dependencies it reaches (see the
     cache module docs).  ``report.analyzed`` / ``report.cached`` say
     which modules went which way.  *jobs* fans cold modules out over a
-    fork pool (the sweeps idiom); cached values are raw findings, so
+    fork pool (:func:`imap_cells`); cached values are raw findings, so
     the baseline always applies fresh.
     """
     global _POOL_STATE
@@ -445,27 +462,15 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
             to_analyze.append(m)
 
     results: dict[str, dict] = {}
-    if to_analyze and jobs and jobs > 1:
-        import multiprocessing
-        _POOL_STATE = (module_names, registry, ctx, data, package)
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-            with mp_ctx.Pool(min(jobs, len(to_analyze))) as pool:
-                for module, by_pass, errors in pool.imap(
-                        _pool_analyze, to_analyze):
-                    results[module] = by_pass
-                    for name, msg in errors:
-                        report.errors.append(AnalysisError(name, msg))
-        finally:
-            _POOL_STATE = None
-    else:
-        for m in to_analyze:
-            tree, lines = data[m]
-            by_pass, errors = _analyze_module(
-                m, tree, lines, module_names, registry, ctx, package)
-            results[m] = by_pass
+    _POOL_STATE = (module_names, registry, ctx, data, package)
+    try:
+        for module, by_pass, errors in imap_cells(_pool_analyze,
+                                                  to_analyze, jobs):
+            results[module] = by_pass
             for name, msg in errors:
                 report.errors.append(AnalysisError(name, msg))
+    finally:
+        _POOL_STATE = None
 
     errored_modules = {e.message.split(":", 1)[0]
                        for e in report.errors}

@@ -52,15 +52,15 @@ duck-typed hooks — ``TLB.trace_hook``, ``CPU.tick_hook``,
 ``PmapSystem.race_hook``, ``Scheduler.race_hook`` — are gone; the bus
 is the only attachment point.)
 
-Run the storm via ``python -m repro races`` (arch x strategy matrix,
-replay seed per cell) or ``--explore`` for bounded DFS over schedules.
+The storm that drives the detector (``python -m repro races``, and
+``--explore`` for bounded DFS over schedules) runs on the matrix runner
+in :mod:`repro.analysis.matrix`.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -71,18 +71,8 @@ from repro.analysis.cfg import ctx_method, ctx_params, \
     is_yield_primitive, walk_no_lambda
 from repro.analysis.flow import Finding, read_source_tree
 from repro.analysis.layering import LintViolation, _strip, _within
-from repro.analysis.schedules import (
-    ExplorationResult,
-    RecordingPolicy,
-    SeededRandomPolicy,
-    explore_schedules,
-)
-from repro.analysis.invariants import assert_all
-from repro.analysis.sweeps import SWEEP_ARCHS, _spec
 from repro.analysis.typestate import AnalysisContext, build_context
-from repro.bench.testing import QUICK_ARCHS
 from repro.core.kernel import MachKernel
-from repro.core.constants import VMProt
 from repro.pmap.interface import ShootdownStrategy
 from repro.sched.scheduler import Scheduler
 
@@ -586,9 +576,9 @@ class RaceDetector:
     LAZY       until the next activate-time flush (unforced)
     ========== =============================================
 
-    Reports accumulate in :attr:`races`; pass ``raise_on_race=True`` to
-    fail fast.  Counters mirror into ``kernel.stats``
-    (``race_events_timestamped``, ``races_found``).
+    Reports accumulate in :attr:`races`, and :attr:`events_timestamped`
+    counts the events ordered; pass ``raise_on_race=True`` to fail
+    fast.
     """
 
     TRACE_RING = 24
@@ -632,7 +622,6 @@ class RaceDetector:
         self._order += 1
         self._tick_clock(cpu)
         self.events_timestamped += 1
-        self.kernel.stats.race_events_timestamped += 1
         self._trace.append(TraceEvent(self._order, cpu, kind, detail))
         return self._order
 
@@ -769,7 +758,6 @@ class RaceDetector:
                 fill_order=fill_order, window=window, status=status,
                 trace=tuple(self._trace))
             self.races.append(report)
-            self.kernel.stats.races_found += 1
             if self.raise_on_race:
                 raise AssertionError(str(report))
 
@@ -813,297 +801,3 @@ class RaceDetector:
     def _on_full_flushed(self, cpu_id: int) -> None:
         self._event(cpu_id, "tlb-flush", "all entries")
         self._close_windows(cpu_id, None)
-
-
-# ======================================================================
-# The storm: seeded-random schedules over arch x strategy
-# ======================================================================
-
-KB = 1024
-
-#: Default base seed of the storm (a different universe per --seed).
-DEFAULT_SEED = 0xACE5
-
-def cell_seed(base_seed: int, arch: str, strategy: str,
-              workload: str) -> int:
-    """Stable per-cell seed: reproducing one cell never requires
-    running the others."""
-    token = f"{arch}:{strategy}:{workload}".encode()
-    return (base_seed ^ zlib.crc32(token)) & 0xFFFFFFFF
-
-
-@dataclass
-class RaceCellResult:
-    """Outcome of one (arch, strategy) storm cell."""
-
-    arch: str
-    strategy: str
-    seed: int
-    ok: bool
-    races: int
-    events: int
-    detail: str = ""
-
-    def __str__(self) -> str:
-        status = "ok" if self.ok else "RACE" if self.races else "FAIL"
-        tail = f": {self.detail}" if self.detail else ""
-        return (f"{self.arch:<10} {self.strategy:<10} {status:<5} "
-                f"races={self.races:<3} events={self.events:<7} "
-                f"[replay: seed={self.seed:#x}]{tail}")
-
-
-def _storm_fork_cow(kernel: MachKernel, sched: Scheduler) -> None:
-    """Forking under preemption: COW protect/copy shootdowns while
-    parent, child and grandchild threads keep writing."""
-    page = kernel.page_size
-    strict = kernel.pmap_system.strategy is ShootdownStrategy.IMMEDIATE
-    parent = kernel.task_create(name="storm-parent")
-    addr = parent.vm_allocate(8 * page)
-    for off in range(0, 8 * page, page):
-        parent.write(addr + off, bytes([off // page + 1]))
-    child = parent.fork()
-    grandchild = child.fork()
-
-    def writer(ctx):
-        for off in range(0, 8 * page, page):
-            ctx.write(addr + off, bytes([17 + off // page]))
-            yield
-        for off in range(0, 8 * page, page):
-            got = ctx.read(addr + off, 1)[0]
-            # DEFERRED/LAZY legally serve the pre-COW frame while the
-            # shootdown window is open; IMMEDIATE must be coherent.
-            expected = (17 + off // page,) if strict \
-                else (17 + off // page, off // page + 1)
-            assert got in expected, (off, got)
-            yield
-
-    sched.spawn(parent, writer, name="parent-w")
-    sched.spawn(child, writer, name="child-w")
-    sched.spawn(grandchild, writer, name="grandchild-w")
-    sched.run()
-    child.terminate()
-    grandchild.terminate()
-
-
-def _storm_pageout(kernel: MachKernel, sched: Scheduler) -> None:
-    """Memory pressure under preemption: the paging daemon's forced
-    shootdowns against threads holding warm TLB entries."""
-    page = kernel.page_size
-    strict = kernel.pmap_system.strategy is ShootdownStrategy.IMMEDIATE
-    hogs = [kernel.task_create(name=f"hog{i}") for i in range(2)]
-    spans = [task.vm_allocate(24 * page) for task in hogs]
-
-    def hog(ctx):
-        base = spans[hogs.index(ctx.task)]
-        for off in range(0, 24 * page, page):
-            ctx.write(base + off, bytes([off // page % 200 + 1]))
-            yield
-        for off in range(0, 24 * page, 4 * page):
-            got = ctx.read(base + off, 1)[0]
-            # Reclaim + refault relocates frames; inside an open
-            # DEFERRED window a stale translation may still reach the
-            # old frame, so only IMMEDIATE pins the exact byte.
-            if strict:
-                assert got == off // page % 200 + 1, (off, got)
-            yield
-
-    for task in hogs:
-        sched.spawn(task, hog, name=f"{task.name}-t")
-    sched.run()
-    kernel.pageout_daemon.run()
-
-
-def _storm_shootdown(kernel: MachKernel, sched: Scheduler) -> None:
-    """Cross-CPU protect/deallocate against concurrent readers: the
-    Section 5.2 scenario itself."""
-    page = kernel.page_size
-    task = kernel.task_create(name="storm-smp")
-    addr = task.vm_allocate(12 * page)
-    for off in range(0, 12 * page, page):
-        task.write(addr + off, b"s")
-
-    def toucher(ctx):
-        for off in range(0, 4 * page, page):
-            ctx.write(addr + off, b"T")
-            yield
-            assert ctx.read(addr + off, 1) == b"T"
-            yield
-
-    def reader(ctx):
-        for _ in range(2):
-            for off in range(4 * page, 8 * page, page):
-                assert ctx.read(addr + off, 1) in (b"s", b"T")
-                yield
-
-    def demoter(ctx):
-        yield
-        ctx.task.vm_protect(addr + 4 * page, 4 * page, False,
-                            VMProt.READ)
-        yield
-        ctx.task.vm_deallocate(addr + 8 * page, 4 * page)
-        yield
-
-    sched.spawn(task, toucher, name="toucher")
-    sched.spawn(task, reader, name="reader")
-    sched.spawn(task, demoter, name="demoter")
-    sched.run()
-
-
-STORM_WORKLOADS = (
-    ("fork+COW", _storm_fork_cow, {}),
-    ("pageout-pressure", _storm_pageout, dict(memory_frames=48)),
-    ("shootdown", _storm_shootdown, {}),
-)
-
-
-def run_race_cell(arch: str, strategy: ShootdownStrategy,
-                  seed: int) -> RaceCellResult:
-    """One storm cell: every workload on (arch, strategy) under a
-    seeded-random schedule, detector armed throughout."""
-    races = 0
-    events = 0
-    detail = ""
-    ok = True
-    for workload_name, workload, overrides in STORM_WORKLOADS:
-        wseed = cell_seed(seed, arch, strategy.value, workload_name)
-        kernel = MachKernel(_spec(arch, ncpus=4, **overrides),
-                            shootdown=strategy)
-        sched = Scheduler(kernel, timer_tick_every=4,
-                          policy=SeededRandomPolicy(wseed))
-        detector = RaceDetector(kernel, sched).install()
-        try:
-            workload(kernel, sched)
-            kernel.pmap_system.update()
-            if strategy is ShootdownStrategy.LAZY:
-                # LAZY bounds staleness at activate time; emulate the
-                # bound before auditing, as pageout must (Section 5.2).
-                for cpu in kernel.machine.cpus:
-                    cpu.tlb.flush_all()
-            kernel.set_current_cpu(0)
-            assert_all(kernel)
-        except Exception as exc:   # noqa: BLE001 - reported per cell
-            ok = False
-            detail = f"{workload_name}: {type(exc).__name__}: {exc}"
-        finally:
-            detector.uninstall()
-        races += len(detector.races)
-        events += detector.events_timestamped
-        if detector.races and not detail:
-            ok = False
-            detail = f"{workload_name}: {detector.races[0]}"
-        if not ok:
-            break
-    return RaceCellResult(arch=arch, strategy=strategy.value, seed=seed,
-                          ok=ok, races=races, events=events,
-                          detail=detail)
-
-
-def _run_storm_cell(cell: tuple[str, str, int]) -> RaceCellResult:
-    """One (arch, strategy-value, seed) storm cell — module-level so a
-    process pool can pickle it."""
-    arch, strategy_value, seed = cell
-    return run_race_cell(arch, ShootdownStrategy(strategy_value), seed)
-
-
-def run_races(archs: Optional[Sequence[str]] = None,
-              strategies: Optional[Sequence[ShootdownStrategy]] = None,
-              seed: int = DEFAULT_SEED, quick: bool = False,
-              verbose: bool = False,
-              jobs: int | None = None) -> list[RaceCellResult]:
-    """The full storm: arch x strategy cells, each printing its replay
-    seed.  A correct kernel yields zero races in every cell — DEFERRED
-    and LAZY staleness inside open windows is sanctioned, and
-    IMMEDIATE flushes synchronously.  Cells are seeded and independent;
-    ``jobs > 1`` fans them out over a process pool (fork), with results
-    returned in matrix order."""
-    if archs is None:
-        archs = QUICK_ARCHS if quick else tuple(SWEEP_ARCHS)
-    if strategies is None:
-        strategies = tuple(ShootdownStrategy)
-    cells = [(arch, strategy.value, seed)
-             for arch in archs for strategy in strategies]
-    results: list[RaceCellResult] = []
-    if jobs is not None and jobs > 1 and len(cells) > 1:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(min(jobs, len(cells))) as pool:
-            for result in pool.imap(_run_storm_cell, cells):
-                results.append(result)
-                if verbose:
-                    print(str(result))
-    else:
-        for cell in cells:
-            results.append(_run_storm_cell(cell))
-            if verbose:
-                print(str(results[-1]))
-    return results
-
-
-# ======================================================================
-# Systematic exploration (--explore)
-# ======================================================================
-
-
-def _explore_run(arch: str, strategy: ShootdownStrategy,
-                 policy: RecordingPolicy) -> dict:
-    """One schedule of a small two-thread shootdown workload, state
-    hashed for pruning, audited by detector + invariants."""
-    kernel = MachKernel(_spec(arch, ncpus=2), shootdown=strategy)
-    sched = Scheduler(kernel, timer_tick_every=2, policy=policy)
-    detector = RaceDetector(kernel, sched).install()
-    page = kernel.page_size
-    task = kernel.task_create(name="explore")
-    addr = task.vm_allocate(4 * page)
-    for off in range(0, 4 * page, page):
-        task.write(addr + off, b"e")
-
-    policy.state_fn = lambda: hash((
-        tuple(sorted(detector.fills)),
-        kernel.stats.faults,
-        tuple(len(w) for w in detector.windows.values()),
-    ))
-
-    def reader(ctx):
-        for off in range(0, 4 * page, page):
-            assert ctx.read(addr + off, 1) in (b"e", b"w")
-            yield
-
-    def mutator(ctx):
-        ctx.write(addr, b"w")
-        yield
-        ctx.task.vm_protect(addr + 2 * page, 2 * page, False,
-                            VMProt.READ)
-        yield
-
-    sched.spawn(task, reader, name="reader")
-    sched.spawn(task, mutator, name="mutator")
-    try:
-        sched.run()
-        kernel.pmap_system.update()
-        if strategy is ShootdownStrategy.LAZY:
-            for cpu in kernel.machine.cpus:
-                cpu.tlb.flush_all()
-        kernel.set_current_cpu(0)
-        assert_all(kernel)
-    except Exception as exc:   # noqa: BLE001 - a finding, not a crash
-        detector.uninstall()
-        return {"ok": False, "detail": f"{type(exc).__name__}: {exc}"}
-    detector.uninstall()
-    if detector.races:
-        return {"ok": False, "detail": str(detector.races[0])}
-    return {"ok": True}
-
-
-def explore_shootdown(arch: str = "generic",
-                      strategy: ShootdownStrategy =
-                      ShootdownStrategy.DEFERRED,
-                      max_schedules: int = 150,
-                      kernel_stats=None) -> ExplorationResult:
-    """Bounded DFS over schedules of the small shootdown workload."""
-    result = explore_schedules(
-        lambda policy: _explore_run(arch, strategy, policy),
-        max_schedules=max_schedules)
-    if kernel_stats is not None:
-        kernel_stats.schedules_explored += result.schedules_explored
-    return result

@@ -54,9 +54,21 @@ import argparse
 import sys
 
 from repro import hw
+from repro.analysis.matrix import (
+    FAULT_SEED,
+    RACE_SEED,
+    SWEEP_ARCHS,
+    default_archs,
+    explore_shootdown,
+    run_faultsweep,
+    run_races,
+    run_sweeps,
+)
+from repro.analysis.scenarios import CHECK, FAULTS, STORMS
 from repro.bench.testing import BENCH_ARCHS
 from repro.core.constants import FaultType, VMInherit
 from repro.core.kernel import MachKernel
+from repro.pmap.interface import ShootdownStrategy
 
 KB = 1024
 
@@ -463,12 +475,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         lint_source_concurrency,
         lint_source_tree,
         run_flow_passes,
-        run_sweeps,
     )
     from repro.analysis.cache import DEFAULT_DIR, AnalysisCache
     from repro.analysis.flow import PASS_NAMES
     from repro.analysis.report import render_report
-    from repro.analysis.sweeps import SWEEP_ARCHS
 
     cache_dir = None if args.no_cache else DEFAULT_DIR
     started = perf_counter()
@@ -554,9 +564,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     archs = [args.arch] if args.arch else None
-    names = ", ".join(archs or SWEEP_ARCHS)
-    print(f"\ninvariant sweeps: fork+COW, pageout-pressure, shootdown "
-          f"on {names} ...")
+    print(f"\ninvariant sweeps: {', '.join(CHECK)} "
+          f"on {', '.join(archs or SWEEP_ARCHS)} ...")
     results = run_sweeps(archs=archs, verbose=True, jobs=args.jobs)
     failed = [r for r in results if not r.ok]
     print(f"\nsweeps: {len(results) - len(failed)}/{len(results)} "
@@ -566,16 +575,12 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_faultsweep(args: argparse.Namespace) -> int:
     """``repro faultsweep``: the fault-injection survival matrix."""
-    from repro.inject import run_faultsweep
-    from repro.inject.sweep import QUICK_ARCHS, SCENARIOS, SWEEP_ARCHS
-
     archs = [args.arch] if args.arch else None
     scenarios = [args.scenario] if args.scenario else None
-    names = ", ".join(archs or (QUICK_ARCHS if args.quick
-                                else tuple(SWEEP_ARCHS)))
     print(f"fault sweep (seed={args.seed:#x}): "
-          f"{', '.join(scenarios or SCENARIOS)}")
-    print(f"architectures: {names}\n")
+          f"{', '.join(scenarios or FAULTS)}")
+    print(f"architectures: "
+          f"{', '.join(archs or default_archs(args.quick))}\n")
     results = run_faultsweep(archs=archs, scenarios=scenarios,
                              seed=args.seed, quick=args.quick,
                              verbose=True, jobs=args.jobs)
@@ -590,26 +595,14 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
 
 def cmd_races(args: argparse.Namespace) -> int:
     """``repro races``: the concurrency storm / schedule explorer."""
-    from repro.analysis.race import (
-        DEFAULT_SEED,
-        QUICK_ARCHS,
-        explore_shootdown,
-        run_races,
-    )
-    from repro.analysis.sweeps import SWEEP_ARCHS
-    from repro.core.statistics import KernelStats
-    from repro.pmap.interface import ShootdownStrategy
-
     if args.explore:
         strategy = ShootdownStrategy(args.strategy) if args.strategy \
             else ShootdownStrategy.DEFERRED
         arch = args.arch or "generic"
         print(f"schedule exploration: bounded DFS over the small "
               f"shootdown workload ({arch}, {strategy.value}) ...")
-        stats = KernelStats()
         result = explore_shootdown(arch=arch, strategy=strategy,
-                                   max_schedules=args.max_schedules,
-                                   kernel_stats=stats)
+                                   max_schedules=args.max_schedules)
         print(f"explored {result.schedules_explored} schedule(s), "
               f"{result.decision_points} decision point(s) deep, "
               f"{result.pruned} branch(es) pruned by state hash")
@@ -622,10 +615,9 @@ def cmd_races(args: argparse.Namespace) -> int:
     archs = [args.arch] if args.arch else None
     strategies = [ShootdownStrategy(args.strategy)] if args.strategy \
         else None
-    names = ", ".join(archs or (QUICK_ARCHS if args.quick
-                                else tuple(SWEEP_ARCHS)))
-    print(f"race storm (seed={args.seed:#x}): fork+COW, "
-          f"pageout-pressure, shootdown under seeded-random schedules")
+    print(f"race storm (seed={args.seed:#x}): {', '.join(STORMS)} "
+          f"under seeded-random schedules")
+    names = ", ".join(archs or default_archs(args.quick))
     print(f"architectures: {names}; strategies: "
           f"{', '.join(s.value for s in (strategies or ShootdownStrategy))}"
           f"\n")
@@ -641,11 +633,23 @@ def cmd_races(args: argparse.Namespace) -> int:
 
 
 def _positive_int(value: str) -> int:
-    """argparse type for load-shape sizes: an integer of at least 1."""
+    """argparse type for load-shape sizes and ``--jobs``: an integer of
+    at least 1."""
     number = int(value)
     if number < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, "
                                          f"got {number}")
+    return number
+
+
+def _base_seed(value: str) -> int:
+    """argparse type for a matrix base seed: an integer literal in
+    ``[0, 2**32)``.  Per-cell seeds are 32-bit, so a wider base would
+    replay some other base's cells."""
+    number = int(value, 0)
+    if not 0 <= number < 1 << 32:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**32), "
+                                         f"got {value}")
     return number
 
 
@@ -742,10 +746,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-cache", action="store_true",
                        help="ignore and don't write the incremental "
                             "analysis cache (.repro-cache/)")
-    check.add_argument("--arch", choices=["generic", "vax", "rt_pc",
-                                          "sun3", "ns32082"],
+    check.add_argument("--arch", choices=list(SWEEP_ARCHS),
                        help="sweep a single pmap architecture")
-    check.add_argument("--jobs", type=int, default=None,
+    check.add_argument("--jobs", type=_positive_int, default=None,
                        help="run arch x workload sweep cells in N "
                             "worker processes (default serial)")
 
@@ -755,18 +758,13 @@ def build_parser() -> argparse.ArgumentParser:
              "disks, lossy IPC)")
     fault.add_argument("--quick", action="store_true",
                        help="3 architectures, smaller workloads")
-    fault.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=0xFA17,
+    fault.add_argument("--seed", type=_base_seed, default=FAULT_SEED,
                        help="base seed (every cell derives its own)")
-    fault.add_argument("--arch", choices=["generic", "vax", "rt_pc",
-                                          "sun3", "ns32082"],
+    fault.add_argument("--arch", choices=list(SWEEP_ARCHS),
                        help="sweep a single pmap architecture")
-    fault.add_argument("--scenario",
-                       choices=["pager-stall", "pager-crash",
-                                "pager-garbage", "disk-error",
-                                "ipc-loss", "pageout-pressure"],
+    fault.add_argument("--scenario", choices=list(FAULTS),
                        help="run a single fault scenario")
-    fault.add_argument("--jobs", type=int, default=None,
+    fault.add_argument("--jobs", type=_positive_int, default=None,
                        help="run arch x scenario cells in N worker "
                             "processes (default serial)")
 
@@ -776,22 +774,20 @@ def build_parser() -> argparse.ArgumentParser:
              "happens-before TLB race detector")
     races.add_argument("--quick", action="store_true",
                        help="3 architectures instead of 5")
-    races.add_argument("--seed", type=lambda v: int(v, 0),
-                       default=0xACE5,
+    races.add_argument("--seed", type=_base_seed, default=RACE_SEED,
                        help="base seed (every cell derives its own; "
                             "printed per cell for replay)")
-    races.add_argument("--arch", choices=["generic", "vax", "rt_pc",
-                                          "sun3", "ns32082"],
+    races.add_argument("--arch", choices=list(SWEEP_ARCHS),
                        help="storm a single pmap architecture")
     races.add_argument("--strategy",
-                       choices=["immediate", "deferred", "lazy"],
+                       choices=[s.value for s in ShootdownStrategy],
                        help="storm a single shootdown strategy")
     races.add_argument("--explore", action="store_true",
                        help="bounded DFS over schedules of a small "
                             "shootdown workload instead of the storm")
     races.add_argument("--max-schedules", type=int, default=150,
                        help="schedule budget for --explore")
-    races.add_argument("--jobs", type=int, default=None,
+    races.add_argument("--jobs", type=_positive_int, default=None,
                        help="run arch x strategy storm cells in N "
                             "worker processes (default serial)")
     return parser

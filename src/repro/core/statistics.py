@@ -45,12 +45,6 @@ class KernelStats:
         self.faults_parked = 0
         self.tasks_completed_during_pager_wait = 0
         self.readahead_pageins = 0
-        # Concurrency-sanitizer counters (``repro.analysis.race``
-        # updates these through the kernel reference it is given; the
-        # kernel itself never touches them).
-        self.race_events_timestamped = 0
-        self.races_found = 0
-        self.schedules_explored = 0
 
     def __repr__(self) -> str:
         return (f"KernelStats(faults={self.faults}, cow={self.cow_faults}, "

@@ -11,9 +11,10 @@ presumed.
 * :mod:`repro.inject.injector` — the seeded :class:`FaultInjector` and
   its :class:`FaultConfig` probability profile;
 * :mod:`repro.inject.pagers` — :class:`FaultyPager` (randomized) and
-  :class:`ScriptedPager` (deterministic) errant memory managers;
-* :mod:`repro.inject.sweep` — the arch x scenario survival matrix
-  behind ``python -m repro faultsweep``.
+  :class:`ScriptedPager` (deterministic) errant memory managers.
+
+The arch x scenario survival matrix behind ``python -m repro
+faultsweep`` arms these from :mod:`repro.analysis.matrix`.
 
 Everything is deterministic: one ``random.Random(seed)`` drives every
 fault decision, and no code path reads the wall clock.  The kernel
@@ -28,29 +29,13 @@ from repro.inject.pagers import (
     ScriptedPager,
     StoreBackedPager,
 )
-from repro.inject.sweep import (
-    DEFAULT_SEED,
-    SCENARIOS,
-    CellResult,
-    cell_seed,
-    run_cell,
-    run_cell_injecting,
-    run_faultsweep,
-)
 
 __all__ = [
     "CHAOS",
-    "CellResult",
-    "DEFAULT_SEED",
     "FaultConfig",
     "FaultInjector",
     "FaultyPager",
     "GARBAGE_REPLY",
-    "SCENARIOS",
     "ScriptedPager",
     "StoreBackedPager",
-    "cell_seed",
-    "run_cell",
-    "run_cell_injecting",
-    "run_faultsweep",
 ]

@@ -20,12 +20,12 @@ from repro.analysis.invariants import (
     install_sanitizer,
     uninstall_sanitizer,
 )
-from repro.analysis.sweeps import (
+from repro.analysis.matrix import (
     SWEEP_ARCHS,
-    _spec,
-    _sweep_fork_cow,
-    _sweep_pageout,
-    _sweep_shootdown,
+    boot,
+    run_row,
+    sweep_line,
+    sweep_row,
 )
 from repro.core.constants import VMProt
 from repro.core.kernel import MachKernel
@@ -38,21 +38,26 @@ def _kinds(violations):
     return {v.kind for v in violations}
 
 
+def _sweep(arch, scenario):
+    result = run_row(sweep_row(arch, scenario))
+    assert result.ok, sweep_line(result)
+
+
 class TestCleanKernelsPass:
     """After real workloads the checker must stay silent on every
     architecture — the sweeps behind ``python -m repro check``."""
 
     @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
     def test_fork_cow_sweep(self, arch):
-        _sweep_fork_cow(arch)
+        _sweep(arch, "fork+COW")
 
     @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
     def test_pageout_sweep(self, arch):
-        _sweep_pageout(arch)
+        _sweep(arch, "pageout-pressure")
 
     @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
     def test_shootdown_sweep(self, arch):
-        _sweep_shootdown(arch)
+        _sweep(arch, "shootdown")
 
     def test_fresh_kernel_is_clean(self, kernel):
         assert check_all(kernel) == []
@@ -167,7 +172,7 @@ class TestTeardownHookFiresInTests:
     dirtying a throwaway kernel the same way."""
 
     def test_injected_lie_fails_fixture_style_sweep(self):
-        kernel = MachKernel(_spec("generic"))
+        kernel = boot("generic")
         task = kernel.task_create()
         addr = task.vm_allocate(kernel.page_size)
         task.write(addr, b"x")

@@ -17,6 +17,30 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["faultsweep", "races"])
+    @pytest.mark.parametrize("seed", ["-1", "0x100000000",
+                                      "0x1FFFFFFFF"])
+    def test_seed_outside_32_bits_exits_2(self, command, seed, capsys):
+        """Every cell seed masks to 32 bits, so a base outside them
+        would alias another base's cells."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--quick", "--seed", seed])
+        assert excinfo.value.code == 2
+        assert "must be in [0, 2**32)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["0", "0xFFFFFFFF", "64023"])
+    def test_seed_inside_32_bits_parses(self, seed):
+        args = build_parser().parse_args(["races", "--seed", seed])
+        assert args.seed == int(seed, 0)
+
+    @pytest.mark.parametrize("command", ["check", "faultsweep", "races"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, command, jobs, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--jobs", jobs])
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
     def test_known_commands(self):
         parser = build_parser()
         for command in ("machines", "demo", "fault-trace", "show",

@@ -15,6 +15,13 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.matrix import (
+    FAULT_SEED,
+    FAULT_TRIES,
+    cell_seed,
+    fault_line,
+    run_fault_cell,
+)
 from repro.core.errors import (
     DiskIOError,
     IPCTimeoutError,
@@ -33,15 +40,11 @@ from repro.fs.filesystem import FileSystem
 from repro.hw.machine import Machine
 from repro.inject import (
     CHAOS,
-    DEFAULT_SEED,
     FaultConfig,
     FaultInjector,
     FaultyPager,
     ScriptedPager,
     StoreBackedPager,
-    cell_seed,
-    run_cell,
-    run_cell_injecting,
 )
 from repro.ipc.kernel_server import MSG_VM_ALLOCATE, MSG_VM_READ, MSG_VM_WRITE
 from repro.pager.vnode_pager import map_file
@@ -289,8 +292,10 @@ class TestDeterminism:
     """Same seed, same faults — and every failure names its seed."""
 
     def test_cell_replay_is_identical(self):
-        first = run_cell("generic", "pager-crash", seed=1234, quick=True)
-        second = run_cell("generic", "pager-crash", seed=1234, quick=True)
+        first = run_fault_cell("generic", "pager-crash", seed=1234,
+                               quick=True)
+        second = run_fault_cell("generic", "pager-crash", seed=1234,
+                                quick=True)
         assert (first.ok, first.injected, first.typed_errors) \
             == (second.ok, second.injected, second.typed_errors)
 
@@ -310,8 +315,9 @@ class TestDeterminism:
             pager.data_request(None, 0, 1, None)
 
     def test_cell_result_reports_seed(self):
-        result = run_cell("generic", "pager-stall", seed=42, quick=True)
-        assert "seed=42" in str(result)
+        result = run_fault_cell("generic", "pager-stall", seed=42,
+                                quick=True)
+        assert "seed=42" in fault_line(result)
 
 
 def _corpus_entries():
@@ -329,9 +335,9 @@ def _corpus_entries():
 def test_corpus_replay(arch, scenario, seed):
     """Previously-found seeds stay green: the regression corpus replays
     exact fault sequences the sweep once survived."""
-    result = run_cell(arch, scenario, seed, quick=True)
-    assert result.ok, (f"corpus regression: {result} "
-                       f"(replay: run_cell({arch!r}, {scenario!r}, "
+    result = run_fault_cell(arch, scenario, seed, quick=True)
+    assert result.ok, (f"corpus regression: {fault_line(result)} "
+                       f"(replay: run_fault_cell({arch!r}, {scenario!r}, "
                        f"{seed}, quick=True))")
 
 
@@ -345,9 +351,11 @@ MATRIX_SCENARIOS = ("pager-stall", "pager-crash", "pager-garbage",
 def test_survival_matrix(arch, scenario):
     """The acceptance matrix: every fault class, on ≥3 architectures,
     with faults actually injected, survives — reproducibly."""
-    seed = cell_seed(DEFAULT_SEED, arch, scenario)
-    result = run_cell_injecting(arch, scenario, seed, quick=True)
-    assert result.injected > 0, f"cell injected no faults: {result}"
+    seed = cell_seed(FAULT_SEED, arch, scenario)
+    result = run_fault_cell(arch, scenario, seed, quick=True,
+                            tries=FAULT_TRIES)
+    line = fault_line(result)
+    assert result.injected > 0, f"cell injected no faults: {line}"
     assert result.ok, (f"cell failed — replay with "
-                       f"run_cell({arch!r}, {scenario!r}, "
-                       f"{result.seed}, quick=True): {result}")
+                       f"run_fault_cell({arch!r}, {scenario!r}, "
+                       f"{result.cell.seed}, quick=True): {line}")

@@ -23,22 +23,21 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.race import (
-    DEFAULT_SEED,
-    RaceDetector,
+from repro.analysis.matrix import (
+    RACE_SEED,
+    boot,
     cell_seed,
-    check_atomicity,
     explore_shootdown,
+    race_line,
     run_race_cell,
 )
+from repro.analysis.race import RaceDetector, check_atomicity
 from repro.analysis.schedules import (
     RecordingPolicy,
     SeededRandomPolicy,
     explore_schedules,
 )
-from repro.analysis.sweeps import _spec
 from repro.core.kernel import MachKernel
-from repro.core.statistics import KernelStats
 from repro.pmap.interface import ShootdownStrategy
 from repro.sched import RoundRobinPolicy, Scheduler
 
@@ -109,7 +108,7 @@ def _cached_then_invalidated(strategy):
     """cpu1 caches a translation; cpu0 deallocates the page, opening a
     shootdown window for cpu1.  Returns (kernel, detector, task, addr,
     cpu1)."""
-    kernel = MachKernel(_spec("generic", ncpus=2), shootdown=strategy)
+    kernel = boot("generic", strategy, ncpus=2)
     detector = RaceDetector(kernel).install()
     task = kernel.task_create(name="win")
     addr = task.vm_allocate(2 * kernel.page_size)
@@ -161,7 +160,6 @@ class TestInvalidationWindows:
         # The report replays: trace names the shootdown and the hit.
         text = str(report)
         assert "shootdown" in text and "tlb-hit" in text
-        assert kernel.stats.races_found == 1
 
     def test_deferred_race_reported_once_per_window(self):
         kernel, det, task, addr, cpu1 = _cached_then_invalidated(
@@ -186,8 +184,7 @@ class TestInvalidationWindows:
         assert det.races == []
 
     def test_raise_on_race_fails_fast(self):
-        kernel = MachKernel(_spec("generic", ncpus=2),
-                            shootdown=ShootdownStrategy.DEFERRED)
+        kernel = boot("generic", ShootdownStrategy.DEFERRED, ncpus=2)
         det = RaceDetector(kernel, raise_on_race=True).install()
         task = kernel.task_create(name="fast")
         addr = task.vm_allocate(kernel.page_size)
@@ -202,7 +199,7 @@ class TestInvalidationWindows:
             cpu1.tlb.probe(task.pmap, addr)
 
     def test_uninstall_leaves_the_bus_silent(self):
-        kernel = MachKernel(_spec("generic", ncpus=2))
+        kernel = boot("generic", ncpus=2)
         sched = Scheduler(kernel)
         baseline = list(kernel.events._subscribers)
         det = RaceDetector(kernel, sched).install()
@@ -221,18 +218,18 @@ class TestStorm:
         """IMMEDIATE never sanctions staleness, so any report under it
         on the unmodified kernel would be a detector false positive."""
         result = run_race_cell("generic", ShootdownStrategy.IMMEDIATE,
-                               DEFAULT_SEED)
-        assert result.ok, result.detail
+                               RACE_SEED)
+        assert result.ok, race_line(result)
         assert result.races == 0
         assert result.events > 0
 
     def test_cell_result_prints_replay_seed(self):
         result = run_race_cell("generic", ShootdownStrategy.DEFERRED,
-                               DEFAULT_SEED)
-        assert f"seed={DEFAULT_SEED:#x}" in str(result)
+                               RACE_SEED)
+        assert f"seed={RACE_SEED:#x}" in race_line(result)
 
     def test_cell_seed_varies_per_cell(self):
-        seeds = {cell_seed(DEFAULT_SEED, a, s, w)
+        seeds = {cell_seed(RACE_SEED, a, s, w)
                  for a in ("generic", "vax")
                  for s in ("immediate", "lazy")
                  for w in ("fork+COW", "shootdown")}
@@ -240,8 +237,8 @@ class TestStorm:
 
     def test_storm_mirrors_counters_into_stats(self):
         result = run_race_cell("generic", ShootdownStrategy.LAZY,
-                               DEFAULT_SEED)
-        assert result.ok, result.detail
+                               RACE_SEED)
+        assert result.ok, race_line(result)
         assert result.events > 0
 
 
@@ -266,7 +263,7 @@ _STORM_ENTRIES, _LOST_ENTRIES = _corpus_entries()
 def test_corpus_replay_storm(arch, strategy, seed):
     """Previously-survived storm seeds stay green."""
     result = run_race_cell(arch, ShootdownStrategy(strategy), seed)
-    assert result.ok, (f"corpus regression: {result.detail} "
+    assert result.ok, (f"corpus regression: {race_line(result)} "
                        f"(replay: run_race_cell({arch!r}, "
                        f"ShootdownStrategy({strategy!r}), {seed}))")
 
@@ -321,8 +318,6 @@ class TestExploration:
         assert run(replay) == {"ok": False, "detail": "boom"}
 
     def test_shootdown_exploration_is_clean_and_counted(self):
-        stats = KernelStats()
-        result = explore_shootdown(max_schedules=40, kernel_stats=stats)
+        result = explore_shootdown(max_schedules=40)
         assert result.ok, result.failures
-        assert result.schedules_explored > 1
-        assert stats.schedules_explored == result.schedules_explored
+        assert 1 < result.schedules_explored <= 40
