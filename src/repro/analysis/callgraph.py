@@ -30,7 +30,7 @@ summary lookups at call sites.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 __all__ = [
@@ -197,12 +197,12 @@ def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
     """Index every function under *modules* (``(dotted name, tree)``
     pairs) and resolve each function's call sites to candidate fids."""
     from repro.analysis.cfg import is_thread_body, iter_functions, \
-        spawned_names
+        spawned_names, walk
 
     graph = CallGraph()
     per_module: list[tuple[str, ast.AST]] = list(modules)
     for module, tree in per_module:
-        classes = frozenset(n.name for n in ast.walk(tree)
+        classes = frozenset(n.name for n in walk(tree)
                             if isinstance(n, ast.ClassDef))
         spawned = spawned_names(tree)
         for qualname, func in iter_functions(tree):
@@ -215,7 +215,7 @@ def build_callgraph(modules: Iterable[tuple[str, ast.AST]]) -> CallGraph:
                 thread_body=is_thread_body(func, spawned)))
     for info in graph.functions.values():
         callees: set[str] = set()
-        for node in ast.walk(info.func):
+        for node in walk(info.func):
             if isinstance(node, ast.Call):
                 callees.update(graph.resolve(node, info))
         callees.discard(info.fid)

@@ -26,6 +26,11 @@ It also holds the one yield model every pass shares: which functions
 are thread bodies (:func:`is_thread_body`) and which calls are yield
 primitives (:func:`is_yield_primitive`).
 
+It also owns the analyzer's one child iteration (:func:`children`,
+:func:`walk`, :func:`walk_no_lambda`): each node's child tuple is
+computed once per parse and kept on the node, so the many passes over
+one tree share one index.
+
 Two synthetic nodes terminate every CFG: :data:`EXIT` (normal return
 or fall-off-the-end) and :data:`EXC_EXIT` (an exception escaping the
 function).  Dataflow states joined into those nodes describe what is
@@ -39,6 +44,7 @@ would cost a missed bug.
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -69,6 +75,9 @@ class CFGNode:
     has_yield: bool = False
     #: True when this node may raise (and therefore has live exc edges).
     may_raise: bool = False
+    #: The calls evaluated at this node, in :func:`walk_no_lambda`
+    #: order (lambda and nested-def bodies excluded).
+    calls: tuple[ast.Call, ...] = ()
 
     @property
     def lineno(self) -> int:
@@ -90,32 +99,113 @@ class CFG:
         return iter(self.nodes.values())
 
 
+# -- the one walker ---------------------------------------------------------
+#
+# Every child iteration in the analyzer goes through :func:`children`.
+# A node's child tuple is built on first use and kept on the node, so
+# it lives exactly as long as the parsed tree it indexes: one run.
+# ``expr_context`` nodes (Load/Store/Del) are skipped, since no pass
+# asks about them.  Leaves store nothing: CPython shares one instance
+# of each operator node across every tree, so a cache on one would
+# outlive the run.
+
+_LEAVES = frozenset(
+    [ast.Name, ast.Constant, ast.Pass, ast.Break, ast.Continue,
+     ast.Global, ast.Nonlocal, ast.alias]
+    + [cls for base in (ast.operator, ast.unaryop, ast.cmpop, ast.boolop,
+                        ast.expr_context)
+       for cls in base.__subclasses__()])
+
+#: Nodes whose bodies do not execute where they are written.
+_NESTED = (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def children(node: ast.AST) -> tuple[ast.AST, ...]:
+    """*node*'s child nodes in ``ast.iter_child_nodes`` order, without
+    ``expr_context`` nodes; built once per node."""
+    if type(node) in _LEAVES:
+        return ()
+    try:
+        return node._repro_children
+    except AttributeError:
+        kids = node._repro_children = tuple(
+            child for child in ast.iter_child_nodes(node)
+            if not isinstance(child, ast.expr_context))
+        return kids
+
+
+def walk(node: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` (same breadth-first order) over :func:`children`."""
+    todo = deque([node])
+    while todo:
+        cur = todo.popleft()
+        todo.extend(children(cur))
+        yield cur
+
+
+class NodeVisitor(ast.NodeVisitor):
+    """``ast.NodeVisitor`` whose default descent is :func:`children`
+    (so ``expr_context`` nodes are never visited)."""
+
+    def generic_visit(self, node: ast.AST) -> None:
+        for child in children(node):
+            self.visit(child)
+
+
+def walk_no_lambda(node: ast.AST) -> Iterator[ast.AST]:
+    """:func:`walk`, depth-first, that does not descend into lambdas or
+    nested defs: their bodies do not execute where they are written."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for child in children(cur):
+            if not isinstance(child, _NESTED):
+                stack.append(child)
+
+
 # -- raising / yield heuristics ------------------------------------------
 
 _YIELDING = (ast.Yield, ast.YieldFrom, ast.Await)
 
 
-def _may_raise(stmt: ast.stmt, exprs: tuple[ast.AST, ...]) -> bool:
-    if isinstance(stmt, (ast.Raise, ast.Assert)):
-        return True
-    for expr in exprs:
-        for sub in ast.walk(expr):
-            if isinstance(sub, ast.Call):
-                return True
-            # Subscript loads raise KeyError/IndexError for real;
-            # subscript stores (dict insert) are treated as safe.
-            if isinstance(sub, ast.Subscript) and \
-                    isinstance(sub.ctx, ast.Load):
-                return True
-    return False
+def _scan(stmt: Optional[ast.AST], exprs: tuple[ast.AST, ...]
+          ) -> tuple[tuple[ast.Call, ...], bool, bool]:
+    """(calls, may raise, has yield) for one node, in one walk.
 
-
-def _has_yield(exprs: tuple[ast.AST, ...]) -> bool:
+    Calls are collected outside nested lambdas/defs only, in
+    :func:`walk_no_lambda` order.  The raise and yield heuristics also
+    look inside nested lambdas.  Calls raise, and so do subscript loads
+    (KeyError/IndexError); subscript stores (dict insert) are treated
+    as safe.  Attribute access is deliberately not counted."""
+    calls: list[ast.Call] = []
+    nested: list[ast.AST] = []
+    may_raise = isinstance(stmt, (ast.Raise, ast.Assert))
+    has_yield = False
     for expr in exprs:
-        for sub in ast.walk(expr):
+        stack = [expr]
+        while stack:
+            cur = stack.pop()
+            if isinstance(cur, ast.Call):
+                calls.append(cur)
+                may_raise = True
+            elif isinstance(cur, _YIELDING):
+                has_yield = True
+            elif isinstance(cur, ast.Subscript) \
+                    and isinstance(cur.ctx, ast.Load):
+                may_raise = True
+            for child in children(cur):
+                (nested if isinstance(child, _NESTED)
+                 else stack).append(child)
+    for root in nested:
+        for sub in walk(root):
             if isinstance(sub, _YIELDING):
-                return True
-    return False
+                has_yield = True
+            elif isinstance(sub, ast.Call) or (
+                    isinstance(sub, ast.Subscript)
+                    and isinstance(sub.ctx, ast.Load)):
+                may_raise = True
+    return tuple(calls), may_raise, has_yield
 
 
 # -- the one yield model ---------------------------------------------------
@@ -156,7 +246,7 @@ def ctx_params(func: ast.AST) -> frozenset[str]:
 def spawned_names(tree: ast.AST) -> frozenset[str]:
     """Names passed to ``<scheduler>.spawn(...)`` anywhere in *tree*."""
     return frozenset(
-        arg.id for node in ast.walk(tree)
+        arg.id for node in walk(tree)
         if isinstance(node, ast.Call)
         and isinstance(node.func, ast.Attribute)
         and node.func.attr == "spawn"
@@ -185,19 +275,6 @@ def is_yield_primitive(call: ast.Call, ctx_names: frozenset[str]) -> bool:
     name = func.attr if isinstance(func, ast.Attribute) \
         else getattr(func, "id", None)
     return name in FAULT_ENTRY or ctx_method(call, ctx_names) in CTX_METHODS
-
-
-def walk_no_lambda(node: ast.AST) -> Iterator[ast.AST]:
-    """``ast.walk`` that does not descend into lambdas or nested defs:
-    their bodies do not execute where they are written."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for child in ast.iter_child_nodes(cur):
-            if not isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                stack.append(child)
 
 
 def _header_exprs(stmt: ast.stmt) -> tuple[ast.AST, ...]:
@@ -242,8 +319,7 @@ class _Builder:
     def _new(self, stmt: ast.stmt) -> CFGNode:
         exprs = _header_exprs(stmt)
         node = CFGNode(self._next, stmt, exprs)
-        node.may_raise = _may_raise(stmt, exprs)
-        node.has_yield = _has_yield(exprs)
+        node.calls, node.may_raise, node.has_yield = _scan(stmt, exprs)
         self._next += 1
         self.cfg.nodes[node.nid] = node
         if node.has_yield:
@@ -329,6 +405,9 @@ class _Builder:
         for handler in stmt.handlers:
             hnode = CFGNode(self._next, handler,
                             (handler.type,) if handler.type else ())
+            # A handler header carries its calls; its exception edges
+            # come from the protected suite, not from its own test.
+            hnode.calls = _scan(None, hnode.exprs)[0]
             self._next += 1
             self.cfg.nodes[hnode.nid] = hnode
             handler_nodes.append(hnode)
@@ -379,17 +458,19 @@ def build_cfg(func: ast.AST) -> CFG:
 
 def iter_functions(tree: ast.AST) -> Iterator[tuple[str, ast.AST]]:
     """Yield ``(dotted qualname, FunctionDef)`` for every function in
-    *tree*, including methods and nested functions."""
+    *tree*, including methods and nested functions.  Expressions hold
+    no statements, so the search never enters one."""
 
-    def walk(node: ast.AST, prefix: str) -> Iterator[tuple[str, ast.AST]]:
-        for child in ast.iter_child_nodes(node):
+    def visit(node: ast.AST, prefix: str
+              ) -> Iterator[tuple[str, ast.AST]]:
+        for child in children(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = f"{prefix}{child.name}"
                 yield name, child
-                yield from walk(child, f"{name}.")
+                yield from visit(child, f"{name}.")
             elif isinstance(child, ast.ClassDef):
-                yield from walk(child, f"{prefix}{child.name}.")
-            else:
-                yield from walk(child, prefix)
+                yield from visit(child, f"{prefix}{child.name}.")
+            elif not isinstance(child, ast.expr):
+                yield from visit(child, prefix)
 
-    yield from walk(tree, "")
+    yield from visit(tree, "")

@@ -55,7 +55,8 @@ import textwrap
 from pathlib import Path
 from typing import Optional, Type
 
-from repro.analysis.flow import Finding
+from repro.analysis.cfg import walk
+from repro.analysis.flow import Finding, SourceTree
 
 PASS_NAME = "conformance"
 
@@ -176,7 +177,7 @@ def _method_ast(func) -> Optional[ast.FunctionDef]:
         tree = ast.parse(source)
     except (OSError, TypeError, SyntaxError):
         return None
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             return node
     return None
@@ -185,7 +186,7 @@ def _method_ast(func) -> Optional[ast.FunctionDef]:
 def _invalidates(func_ast: ast.AST, method: str) -> bool:
     """Does the method body call super().<method>(...) (which shoots
     down) or a .shootdown(...) itself?"""
-    for node in ast.walk(func_ast):
+    for node in walk(func_ast):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -234,17 +235,25 @@ def _check_table_span(name: str, cls: type, base: type) -> list[Finding]:
         f"override _hw_iter")]
 
 
-def _module_imports(module_name: str) -> list[tuple[str, int]]:
+def _module_imports(module_name: str, source: Optional[SourceTree]
+                    ) -> list[tuple[str, int]]:
     import importlib.util
     spec = importlib.util.find_spec(module_name)
     if spec is None or spec.origin is None:
         return []
+    origin = Path(spec.origin).resolve()
     try:
-        tree = ast.parse(Path(spec.origin).read_text())
+        # The run's SourceTree already read (and maybe parsed) the
+        # module's file when it holds it.
+        if source is not None \
+                and source.files.get(module_name, (None,))[0] == origin:
+            tree = source.parse(module_name)
+        else:
+            tree = ast.parse(origin.read_text())
     except (OSError, SyntaxError):
         return []
     out: list[tuple[str, int]] = []
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.Import):
             out += [(alias.name, node.lineno) for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 \
@@ -255,16 +264,16 @@ def _module_imports(module_name: str) -> list[tuple[str, int]]:
     return out
 
 
-def _check_imports(name: str, cls: type, base: type) -> list[Finding]:
+def _check_imports(name: str, cls: type,
+                   source: Optional[SourceTree]) -> list[Finding]:
     # Only the class's own defining module: base classes are verified
     # when their own registration is checked, avoiding duplicates.
-    del base
     findings: list[Finding] = []
     module_name = getattr(cls, "__module__", "")
     if not module_name:
         return findings
     seen: set[str] = set()
-    for imported, lineno in _module_imports(module_name):
+    for imported, lineno in _module_imports(module_name, source):
         bad = any(imported == p or imported.startswith(p + ".")
                   for p in FORBIDDEN_PREFIXES)
         ok = any(imported == a or a.startswith(imported + ".")
@@ -282,9 +291,13 @@ def _check_imports(name: str, cls: type, base: type) -> list[Finding]:
     return findings
 
 
-def verify_pmap_class(name: str, cls: Type) -> list[Finding]:
+def verify_pmap_class(name: str, cls: Type,
+                      source: Optional[SourceTree] = None
+                      ) -> list[Finding]:
     """Check one pmap class against the MI contract; returns findings
-    (empty when conformant)."""
+    (empty when conformant).  *source*, a
+    :class:`~repro.analysis.flow.SourceTree`, supplies the defining
+    module's text when it holds that file."""
     base = _interface_class()
     if not (isinstance(cls, type) and issubclass(cls, base)):
         return [Finding(
@@ -295,11 +308,12 @@ def verify_pmap_class(name: str, cls: Type) -> list[Finding]:
     findings += _check_signatures(name, cls, base)
     findings += _check_invalidation(name, cls, base)
     findings += _check_table_span(name, cls, base)
-    findings += _check_imports(name, cls, base)
+    findings += _check_imports(name, cls, source)
     return findings
 
 
-def verify_pmap_conformance(registry: Optional[dict] = None
+def verify_pmap_conformance(registry: Optional[dict] = None,
+                            source: Optional[SourceTree] = None
                             ) -> list[Finding]:
     """Check every registered pmap (the live registry by default)."""
     if registry is None:
@@ -307,7 +321,7 @@ def verify_pmap_conformance(registry: Optional[dict] = None
         registry = registered_pmaps()
     findings: list[Finding] = []
     for name in sorted(registry):
-        findings += verify_pmap_class(name, registry[name])
+        findings += verify_pmap_class(name, registry[name], source)
     return findings
 
 
@@ -530,10 +544,9 @@ def verify_pager_conformance(registry: Optional[dict] = None
     return findings
 
 
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
+def run_pass(source: Optional[SourceTree] = None) -> list[Finding]:
     """Flow-pass entry point.  Conformance follows the *live*
     registries (inheritance resolved exactly as the kernel will at
-    boot), so the source-tree arguments are unused."""
-    del root, package
-    return verify_pmap_conformance() + verify_pager_conformance()
+    boot); *source* only spares re-reading the pmap modules."""
+    return verify_pmap_conformance(source=source) \
+        + verify_pager_conformance()

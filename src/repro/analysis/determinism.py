@@ -23,10 +23,9 @@ simulated time only (host wall-clock is measured by ``perf/``).
 from __future__ import annotations
 
 import ast
-from pathlib import Path
-from typing import Optional
 
-from repro.analysis.flow import Finding, iter_source_modules
+from repro.analysis.cfg import NodeVisitor
+from repro.analysis.flow import Finding
 from repro.analysis.layering import _strip
 
 PASS_NAME = "determinism"
@@ -57,7 +56,7 @@ def _chain(expr: ast.AST) -> list[str]:
     return list(reversed(parts))
 
 
-class _ModuleChecker(ast.NodeVisitor):
+class _ModuleChecker(NodeVisitor):
     def __init__(self, module: str) -> None:
         self.module = module
         self.findings: list[Finding] = []
@@ -169,13 +168,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
         return False
     return inner.split(".")[0] not in EXEMPT
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Determinism-lint every simulation module in the tree."""
-    findings: list[Finding] = []
-    for module, _path, tree in iter_source_modules(root, package):
-        if not in_scope(module, package):
-            continue
-        findings += check_module(module, tree)
-    return findings

@@ -31,11 +31,11 @@ are exempt, as are the analysis/bench/CLI layers.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 from typing import Optional
 
-from repro.analysis.cfg import is_thread_body, spawned_names
-from repro.analysis.flow import Finding, iter_source_modules
+from repro.analysis.cfg import NodeVisitor, is_thread_body, \
+    spawned_names, walk
+from repro.analysis.flow import Finding
 from repro.analysis.layering import _strip
 
 PASS_NAME = "errorpaths"
@@ -85,7 +85,7 @@ def _catches_transient(handler: ast.ExceptHandler) -> bool:
 
 def _reraises(body: list[ast.stmt]) -> bool:
     for stmt in body:
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, ast.Raise):
                 return True
     return False
@@ -115,7 +115,7 @@ def _annotated(lines: list[str], lineno: int) -> bool:
     return False
 
 
-class _ModuleChecker(ast.NodeVisitor):
+class _ModuleChecker(NodeVisitor):
     def __init__(self, module: str, source_lines: list[str],
                  spawned: frozenset[str], ctx=None) -> None:
         self.module = module
@@ -198,8 +198,8 @@ class _ModuleChecker(ast.NodeVisitor):
                 f"if the caller retries"))
         elif tail not in TRANSIENT_OPS and self._protected == 0 \
                 and self._thread_body and self._thread_body[-1] \
-                and not _annotated(self.lines, node.lineno) \
-                and self._callee_propagates(node):
+                and self._callee_propagates(node) \
+                and not _annotated(self.lines, node.lineno):
             # The interprocedural half: the callee's summary says a
             # transient can escape it ('#: no-retry' somewhere inside
             # defers retrying to callers).  Propagating further is
@@ -244,14 +244,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
     inner = _strip(module, package)
     return inner is not None and inner.split(".")[0] in SCOPE
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Error-path-check every kernel-path module in the tree."""
-    findings: list[Finding] = []
-    for module, path, tree in iter_source_modules(root, package):
-        if not in_scope(module, package):
-            continue
-        lines = path.read_text().splitlines()
-        findings += check_module(module, tree, lines)
-    return findings

@@ -13,6 +13,8 @@ This is the shared machinery behind the six flow passes
   ``repro check`` treats these as failures, never as a clean run;
 * :func:`solve_forward` — a generic forward worklist solver over the
   CFGs built by :mod:`repro.analysis.cfg`;
+* :class:`SourceTree` — one run's source files, each read once and
+  each module parsed at most once, shared by the lints and the passes;
 * a reviewed-suppression **baseline** (``flow_baseline.txt`` next to
   this module): triaged false positives are recorded there with a
   reason instead of silencing the rule globally;
@@ -26,12 +28,12 @@ from __future__ import annotations
 import ast
 import traceback
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro.analysis.cfg import CFG, ENTRY, CFGNode
-from repro.analysis.layering import _module_name
 
 
 @dataclass(frozen=True)
@@ -126,29 +128,76 @@ def solve_forward(cfg: CFG, init: object, transfer: Transfer,
     return in_states
 
 
-# -- source-tree walking --------------------------------------------------
+# -- the source tree of one run -------------------------------------------
 
-def read_source_tree(root: Optional[Path] = None, package: str = "repro"
-                     ) -> dict[str, tuple[Path, str]]:
-    """``{dotted module: (path, source text)}`` for every source file
-    under *root* (the installed ``repro`` package by default), in path
-    order.  Each file is read exactly once, so whatever is hashed,
-    parsed and split into lines downstream is one version of it."""
-    if root is None:
-        import repro
-        root = Path(repro.__file__).resolve().parent
-    base = Path(root)
-    return {_module_name(base, path, package): (path, path.read_text())
-            for path in sorted(base.rglob("*.py"))}
+def _module_name(root: Path, path: Path, package: str) -> str:
+    rel = path.relative_to(root).with_suffix("")
+    parts = list(rel.parts)
+    if parts and parts[-1] == "__init__":
+        parts = parts[:-1]
+    return ".".join([package] + parts)
 
 
-def iter_source_modules(root: Optional[Path] = None,
-                        package: str = "repro"
-                        ) -> Iterable[tuple[str, Path, ast.AST]]:
-    """Yield ``(dotted module, path, parsed AST)`` for every source
-    file under *root* (the installed ``repro`` package by default)."""
-    for module, (path, text) in read_source_tree(root, package).items():
-        yield module, path, ast.parse(text, filename=str(path))
+class SourceLines(Sequence):
+    """One module's source lines, split on first use.  Only the
+    ``#: no-retry`` checks read lines, at a few call sites, so most
+    modules of a run never split their text."""
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._lines: Optional[list[str]] = None
+
+    def _split(self) -> list[str]:
+        if self._lines is None:
+            self._lines = self._text.splitlines()
+        return self._lines
+
+    def __len__(self) -> int:
+        return len(self._split())
+
+    def __getitem__(self, index):
+        return self._split()[index]
+
+
+class SourceTree:
+    """Every source file under *root* (the installed ``repro`` package
+    by default), read once, in path order; each module is parsed on
+    first use and at most once.
+
+    ``repro check`` builds one per run and hands it to the lint digest,
+    both lints and the flow passes, so everything hashed, linted,
+    parsed and split into lines is one version of each file, and a run
+    served from the cache parses nothing.  Never keep one across runs:
+    it holds the parsed trees and, on their nodes, the walker's child
+    index (:func:`repro.analysis.cfg.children`)."""
+
+    def __init__(self, root: Optional[Path] = None,
+                 package: str = "repro") -> None:
+        if root is None:
+            import repro
+            root = Path(repro.__file__).resolve().parent
+        self.root = Path(root)
+        self.package = package
+        #: ``{dotted module: (path, source text)}``
+        self.files: dict[str, tuple[Path, str]] = {
+            _module_name(self.root, path, package): (path, path.read_text())
+            for path in sorted(self.root.rglob("*.py"))}
+        self._trees: dict[str, ast.Module] = {}
+
+    @property
+    def sources(self) -> dict[str, str]:
+        """``{dotted module: source text}``."""
+        return {m: text for m, (_path, text) in self.files.items()}
+
+    def parse(self, module: str) -> ast.Module:
+        """*module*'s tree, parsed on first use (a module that fails to
+        parse raises on every call)."""
+        tree = self._trees.get(module)
+        if tree is None:
+            path, text = self.files[module]
+            tree = self._trees[module] = ast.parse(text,
+                                                   filename=str(path))
+        return tree
 
 
 # -- baseline (reviewed suppressions) ------------------------------------
@@ -208,10 +257,6 @@ def apply_baseline(findings: Iterable[Finding],
 
 
 # -- pass registry + runner ----------------------------------------------
-
-#: A pass takes (root, package) and returns findings.
-FlowPass = Callable[[Optional[Path], str], list[Finding]]
-
 
 @dataclass(frozen=True)
 class _ModulePass:
@@ -328,9 +373,9 @@ def _pool_analyze(module: str) -> tuple[str, dict, list]:
     return module, by_pass, errors
 
 
-def _run_conformance() -> list[Finding]:
+def _run_conformance(source: SourceTree) -> list[Finding]:
     from repro.analysis import conformance
-    return conformance.run_pass()
+    return conformance.run_pass(source)
 
 
 def _tree_fast_path(cache, digest: str, names: tuple,
@@ -354,7 +399,8 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
                     passes: Optional[Iterable[str]] = None,
                     baseline: Optional[Path] = None,
                     cache_dir: Optional[Path] = None,
-                    jobs: Optional[int] = None) -> FlowReport:
+                    jobs: Optional[int] = None,
+                    source: Optional[SourceTree] = None) -> FlowReport:
     """Run the flow passes over the source tree and apply the baseline.
 
     A pass that raises is recorded as an :class:`AnalysisError` — the
@@ -370,7 +416,9 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     cache module docs).  ``report.analyzed`` / ``report.cached`` say
     which modules went which way.  *jobs* fans cold modules out over a
     fork pool (:func:`imap_cells`); cached values are raw findings, so
-    the baseline always applies fresh.
+    the baseline always applies fresh.  *source* is the run's
+    :class:`SourceTree` when the caller already read one (then *root*
+    and *package* are its own); by default the runner reads its own.
     """
     global _POOL_STATE
     report = FlowReport()
@@ -392,12 +440,14 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     # Read every source once: the tree digest, the parse, the lines and
     # the per-module keys all come from this one string per module.
     try:
-        files = read_source_tree(root, package)
+        if source is None:
+            source = SourceTree(root, package)
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
-    sources = {m: text for m, (_path, text) in files.items()}
+    package = source.package
+    sources = source.sources
 
     versions = {n: mp.version for n, mp in registry.items()}
     if "conformance" in names:
@@ -420,8 +470,8 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     # context (call graph + summaries) — also the source of cache
     # dependency edges.
     try:
-        data = {m: (ast.parse(text, filename=str(path)), text.splitlines())
-                for m, (path, text) in files.items()}
+        data = {m: (source.parse(m), SourceLines(text))
+                for m, text in sources.items()}
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
@@ -484,7 +534,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
 
     if "conformance" in names:
         try:
-            raw_by_source[CONFORMANCE_KEY] = _run_conformance()
+            raw_by_source[CONFORMANCE_KEY] = _run_conformance(source)
             report.analyzed.append(CONFORMANCE_KEY)
         except Exception as exc:
             tb = traceback.format_exception_only(type(exc),

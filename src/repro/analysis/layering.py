@@ -60,6 +60,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.analysis.cfg import NodeVisitor
+from repro.analysis.flow import SourceTree
+
 #: Machine-independent packages (relative to the package root).
 MI_PACKAGES = ("core", "pager", "ipc")
 
@@ -117,15 +120,7 @@ class ImportSite:
     module_level: bool   # executes at import time (not inside a def)
 
 
-def _module_name(root: Path, path: Path, package: str) -> str:
-    rel = path.relative_to(root).with_suffix("")
-    parts = list(rel.parts)
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join([package] + parts)
-
-
-class _ImportCollector(ast.NodeVisitor):
+class _ImportCollector(NodeVisitor):
     """Collect every import of *module*, resolving relative forms."""
 
     def __init__(self, module: str, is_package: bool,
@@ -189,22 +184,23 @@ class _ImportCollector(ast.NodeVisitor):
                 self._add(f"{base}.{alias.name}", node.lineno)
 
 
-def collect_imports(root: Path, package: str = "repro"
+def collect_imports(root: Path, package: str = "repro",
+                    source: Optional[SourceTree] = None
                     ) -> dict[str, list[ImportSite]]:
-    """Parse every module under *root*; return module -> import sites.
+    """Parse every module under *root* (or of *source*, one run's
+    :class:`~repro.analysis.flow.SourceTree`); return module -> import
+    sites.
 
     Modules that fail to parse appear with a single pseudo-site whose
     target is ``"<syntax-error>"`` so the lint can report them.
     """
-    # Imported here because flow imports this module at load time.
-    from repro.analysis.flow import read_source_tree
-
-    files = read_source_tree(root, package)
-    known = set(files)
+    if source is None:
+        source = SourceTree(root, package)
+    known = set(source.files)
     result: dict[str, list[ImportSite]] = {}
-    for module, (path, text) in files.items():
+    for module, (path, _text) in source.files.items():
         try:
-            tree = ast.parse(text, filename=str(path))
+            tree = source.parse(module)
         except SyntaxError as exc:
             result[module] = [ImportSite("<syntax-error>",
                                          exc.lineno or 0, False, True)]
@@ -289,15 +285,18 @@ def _find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
     return cycles
 
 
-def lint_package(root: Path, package: str = "repro"
+def lint_package(root: Path, package: str = "repro",
+                 source: Optional[SourceTree] = None
                  ) -> list[LintViolation]:
     """Lint the package rooted at *root*; returns all violations.
 
     *root* is the directory containing the package's ``__init__.py``
     (e.g. ``src/repro``); *package* is the dotted name the rules treat
-    it as.  An empty list means the tree obeys the layering contract.
+    it as.  *source*, when given, is the run's already-read
+    :class:`~repro.analysis.flow.SourceTree` of that package.  An
+    empty list means the tree obeys the layering contract.
     """
-    imports = collect_imports(root, package)
+    imports = collect_imports(root, package, source)
     known_rel = {_strip(m, package) for m in imports}
     concrete_pmaps = {m for m in known_rel
                       if m and _within(m, "pmap")
@@ -394,7 +393,10 @@ def lint_package(root: Path, package: str = "repro"
     return violations
 
 
-def lint_source_tree() -> list[LintViolation]:
-    """Lint the installed ``repro`` package itself."""
-    import repro
-    return lint_package(Path(repro.__file__).resolve().parent)
+def lint_source_tree(source: Optional[SourceTree] = None
+                     ) -> list[LintViolation]:
+    """Lint the installed ``repro`` package itself (*source*: the
+    run's :class:`~repro.analysis.flow.SourceTree` of it, if read)."""
+    if source is None:
+        source = SourceTree()
+    return lint_package(source.root, source.package, source)

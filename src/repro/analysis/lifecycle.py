@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from repro.analysis.cfg import (EXC_EXIT, EXIT, CFGNode, build_cfg,
                                 iter_functions, walk_no_lambda)
-from repro.analysis.flow import Finding, iter_source_modules, solve_forward
+from repro.analysis.flow import Finding, solve_forward
 
 PASS_NAME = "lifecycle"
 
@@ -230,9 +229,7 @@ def _stmt_events(node: CFGNode, summary_events=None
     events: list[_Event] = []
     acquire: Optional[tuple[str, str, int]] = None
 
-    calls = [c for expr in node.exprs for c in walk_no_lambda(expr)
-             if isinstance(c, ast.Call)]
-    for call in calls:
+    for call in node.calls:
         # "standalone" = the call IS the whole statement: only then
         # does `obj.reference()` leave its new reference in obj's
         # hands (a nested `f(x=obj.reference())` hands it to f).
@@ -459,11 +456,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
     del package
     return True
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Lifecycle-lint every module in the source tree."""
-    findings: list[Finding] = []
-    for module, _path, tree in iter_source_modules(root, package):
-        findings += check_module(module, tree)
-    return findings

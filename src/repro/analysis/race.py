@@ -68,8 +68,8 @@ from typing import Optional, Sequence
 
 from repro.analysis.callgraph import FunctionInfo
 from repro.analysis.cfg import ctx_method, ctx_params, \
-    is_yield_primitive, walk_no_lambda
-from repro.analysis.flow import Finding, read_source_tree
+    is_yield_primitive, walk, walk_no_lambda
+from repro.analysis.flow import Finding, SourceTree
 from repro.analysis.layering import LintViolation, _strip, _within
 from repro.analysis.typestate import AnalysisContext, build_context
 from repro.core.kernel import MachKernel
@@ -168,7 +168,7 @@ def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
                      and n.name == "__init__"), None)
         if init is None:
             continue
-        for stmt in ast.walk(init):
+        for stmt in walk(init):
             targets: list[ast.expr] = []
             if isinstance(stmt, ast.Assign):
                 targets = stmt.targets
@@ -230,16 +230,20 @@ def _receiver_name(node: ast.expr) -> Optional[str]:
 
 
 def lint_guarded_by(root: Path, package: str = "repro",
-                    guarded: Optional[dict[str, tuple[str, ...]]] = None
+                    guarded: Optional[dict[str, tuple[str, ...]]] = None,
+                    source: Optional[SourceTree] = None
                     ) -> list[LintViolation]:
     """Check every attribute store in the tree against the guarded-by
-    declarations; returns all violations (empty list = clean)."""
+    declarations; returns all violations (empty list = clean).
+    *source* is the run's already-read tree of *root*, if any."""
     guarded = guarded if guarded is not None else GUARDED_CLASSES
-    files = read_source_tree(root, package)
+    if source is None:
+        source = SourceTree(root, package)
+    files = source.files
     trees: dict[str, ast.Module] = {}
-    for module, (path, text) in files.items():
+    for module in files:
         try:
-            trees[module] = ast.parse(text, filename=str(path))
+            trees[module] = source.parse(module)
         except SyntaxError:
             continue   # layering lint already reports syntax errors
     decls: dict[str, dict[str, GuardDecl]] = {}
@@ -270,7 +274,7 @@ def lint_guarded_by(root: Path, package: str = "repro",
 
     for module, tree in trees.items():
         mod_rel = module[len(package) + 1:] if module != package else ""
-        for node in ast.walk(tree):
+        for node in walk(tree):
             targets: list[ast.expr] = []
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -311,22 +315,26 @@ def lint_guarded_by(root: Path, package: str = "repro",
     return violations
 
 
-def lint_concurrency(root: Path, package: str = "repro"
+def lint_concurrency(root: Path, package: str = "repro",
+                     source: Optional[SourceTree] = None
                      ) -> list[LintViolation]:
     """The static concurrency lint over a package tree: the guarded-by
     contract.  (The atomicity rules run as the ``atomicity`` flow
     pass, on the shared call-graph summaries.)"""
-    return lint_guarded_by(root, package)
+    return lint_guarded_by(root, package, source=source)
 
 
 #: Part of the lint cache key: bump on any rule/behavior change.
 LINT_VERSION = "3"
 
 
-def lint_source_concurrency() -> list[LintViolation]:
-    """Run the concurrency lint on the installed ``repro`` package."""
-    import repro
-    return lint_concurrency(Path(repro.__file__).resolve().parent)
+def lint_source_concurrency(source: Optional[SourceTree] = None
+                            ) -> list[LintViolation]:
+    """Run the concurrency lint on the installed ``repro`` package
+    (*source*: the run's :class:`SourceTree` of it, if read)."""
+    if source is None:
+        source = SourceTree()
+    return lint_concurrency(source.root, source.package, source)
 
 
 # ======================================================================
@@ -388,7 +396,7 @@ def _linearize(info: FunctionInfo, ctx: AnalysisContext) -> list[tuple]:
                 # ``ctx.write(addr, bytes([v + 1]))`` writes a value
                 # derived from ``v`` just as surely as passing it bare.
                 args = tuple(sub.id for a in node.args
-                             for sub in ast.walk(a)
+                             for sub in walk(a)
                              if isinstance(sub, ast.Name))
                 events.append(("ctx-write", args, line))
         elif isinstance(node, ast.Assign):

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 from repro.analysis.callgraph import (
@@ -53,7 +52,7 @@ from repro.analysis.callgraph import (
 )
 from repro.analysis.cfg import EXC_EXIT, EXIT, CFGNode, build_cfg, \
     ctx_params, is_yield_primitive, iter_functions, walk_no_lambda
-from repro.analysis.flow import Finding, read_source_tree, solve_forward
+from repro.analysis.flow import Finding, solve_forward
 from repro.analysis.layering import _strip
 
 PASS_NAME = "typestate"
@@ -472,9 +471,6 @@ class _FunctionEngine:
 
     def _transfer(self, node: CFGNode,
                   state: _State) -> tuple[_State, _State]:
-        calls = [c for expr in node.exprs for c in walk_no_lambda(expr)
-                 if isinstance(c, ast.Call)]
-
         # Dead-state uses are judged on the state *entering* the
         # statement — the op that kills a var happens during it.
         self._check_uses(node, state)
@@ -485,7 +481,7 @@ class _FunctionEngine:
         # (cfg.is_thread_body, the rule every pass shares).
         stmt_yields = node.has_yield and self._thread_body
 
-        for call in calls:
+        for call in node.calls:
             direct = classify_call(call, self._cls)
             for op in direct:
                 after = self._apply_op(after, op)
@@ -508,11 +504,10 @@ class _FunctionEngine:
         # Acquisitions bind on the normal out-state only — if the RHS
         # raised, nothing was acquired.
         exc_out = after
-        norm_out = self._apply_stmt(node, after, calls)
+        norm_out = self._apply_stmt(node, after)
         return norm_out, exc_out
 
-    def _apply_stmt(self, node: CFGNode, state: _State,
-                    calls: list[ast.Call]) -> _State:
+    def _apply_stmt(self, node: CFGNode, state: _State) -> _State:
         stmt = node.stmt
         out = state
         if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
@@ -551,7 +546,7 @@ class _FunctionEngine:
                 if isinstance(tgt, ast.Name):
                     out.pop(tgt.id, None)
         # Constructor / container-method arguments escape.
-        for call in calls:
+        for call in node.calls:
             chain = _attr_chain(call.func)
             if not chain:
                 continue
@@ -700,6 +695,9 @@ def _function_propagates(info: FunctionInfo, lines: Optional[list[str]],
     from repro.analysis.errorpaths import (
         TRANSIENT_OPS, _annotated, _call_tail, _catches_transient)
 
+    def annotated(call: ast.Call) -> bool:
+        return lines is not None and _annotated(lines, call.lineno)
+
     def scan(expr: ast.AST, protected: int) -> bool:
         if protected:
             return False
@@ -709,12 +707,10 @@ def _function_propagates(info: FunctionInfo, lines: Optional[list[str]],
             tail = _call_tail(sub)
             if tail == "_call_pager":
                 continue            # the retry funnel itself
-            annotated = lines is not None \
-                and _annotated(lines, sub.lineno)
             if tail in TRANSIENT_OPS:
-                if annotated:
+                if annotated(sub):
                     return True
-            elif not annotated and callee_propagates(sub):
+            elif callee_propagates(sub) and not annotated(sub):
                 return True
         return False
 
@@ -843,16 +839,3 @@ def in_scope(module: str, package: str = "repro") -> bool:
         return False
     return inner.split(".")[0] not in EXEMPT
 
-
-def run_pass(root: Optional[Path] = None,
-             package: str = "repro") -> list[Finding]:
-    """Typestate-check every in-scope module with whole-tree context."""
-    modules = [(m, ast.parse(text, filename=str(path)), text.splitlines())
-               for m, (path, text) in read_source_tree(root, package).items()]
-    ctx = build_context(modules)
-    findings: list[Finding] = []
-    for module, tree, _lines in modules:
-        if not in_scope(module, package):
-            continue
-        findings += check_module(module, tree, ctx)
-    return findings

@@ -446,20 +446,20 @@ def cmd_storm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_tree_digest():
-    """Digest of every source file plus the lint versions — the key
-    under which the layering/concurrency lint results are cached.
-    None (cache miss) when anything goes wrong; the lints then just
-    run."""
+def _lint_tree_digest(source):
+    """Digest of every file of *source* (the run's
+    :class:`~repro.analysis.flow.SourceTree`) plus the lint versions —
+    the key under which the layering/concurrency lint results are
+    cached.  None (cache miss) when there is no tree or anything goes
+    wrong; the lints then just run."""
+    if source is None:
+        return None
     try:
         from repro.analysis.cache import tree_digest
-        from repro.analysis.flow import read_source_tree
         from repro.analysis.layering import LINT_VERSION as LAYERING_VERSION
         from repro.analysis.race import LINT_VERSION as RACE_VERSION
 
-        sources = {m: text for m, (_path, text)
-                   in read_source_tree().items()}
-        return tree_digest(sources,
+        return tree_digest(source.sources,
                            {"lint:layering": LAYERING_VERSION,
                             "lint:race": RACE_VERSION})
     except Exception:
@@ -477,7 +477,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         run_flow_passes,
     )
     from repro.analysis.cache import DEFAULT_DIR, AnalysisCache
-    from repro.analysis.flow import PASS_NAMES
+    from repro.analysis.flow import PASS_NAMES, SourceTree
     from repro.analysis.report import render_report
 
     cache_dir = None if args.no_cache else DEFAULT_DIR
@@ -493,9 +493,17 @@ def cmd_check(args: argparse.Namespace) -> int:
             problems.append(f"analysis error: {label} crashed: {exc!r}")
             return []
 
+    # One read of the tree for the whole run: the lint digest, both
+    # lints and the flow passes all see this one version of each file
+    # (and each module is parsed at most once).  Should the read fail,
+    # each analysis reads for itself and reports the failure.
+    try:
+        source = SourceTree()
+    except Exception:
+        source = None
     lint_cache = AnalysisCache(cache_dir) if cache_dir is not None \
         else None
-    lint_digest = _lint_tree_digest() if lint_cache is not None \
+    lint_digest = _lint_tree_digest(source) if lint_cache is not None \
         else None
     cached_lint = lint_cache.load_lint(lint_digest) \
         if lint_digest is not None else None
@@ -505,10 +513,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         lint_lines = [str(v) for v in cached_lint.get("violations", [])]
     else:
         print("layering lint: checking the MD/MI import contract ...")
-        violations = guarded("layering lint", lint_source_tree)
+        violations = guarded("layering lint",
+                             lambda: lint_source_tree(source))
         print("concurrency lint: guarded-by contract ...")
         violations += guarded("concurrency lint",
-                              lint_source_concurrency)
+                              lambda: lint_source_concurrency(source))
         lint_lines = [str(v) for v in violations]
         # Never cache a run where a lint crashed (problems non-empty
         # here can only mean a crash) — the next run must retry it.
@@ -520,7 +529,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 pass
     print("flow passes: " + ", ".join(PASS_NAMES) + " ...")
     try:
-        flow = run_flow_passes(cache_dir=cache_dir, jobs=args.jobs)
+        flow = run_flow_passes(cache_dir=cache_dir, jobs=args.jobs,
+                               source=source)
     except Exception as exc:
         problems.append(f"analysis error: flow passes crashed: {exc!r}")
         flow = FlowReport((), (), ())

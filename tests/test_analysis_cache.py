@@ -4,16 +4,22 @@ and cached runs report the same findings as cold ones."""
 
 from __future__ import annotations
 
+import ast
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import flow
+import repro
+from repro.analysis import cfg, flow
 from repro.analysis.cache import (
     RECENT_TREES, AnalysisCache, module_key, tree_digest,
 )
-from repro.analysis.flow import run_flow_passes
+from repro.analysis.flow import SourceTree, run_flow_passes
+from repro.cli import main
+
+#: The installed package the real-tree tests check.
+REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 PKG = "pkg"
 
@@ -160,6 +166,141 @@ class TestOneReadPerFile:
         warm = _run(tree, cache)
         assert warm.analyzed == []
         assert reads == once
+
+    @staticmethod
+    def _count_parses(monkeypatch):
+        """Count ``ast.parse`` calls by ``filename``: a module's file is
+        parsed under its path; conformance's method snippets parse as
+        ``<unknown>`` and are not modules."""
+        parses = Counter()
+        real = ast.parse
+
+        def parse(source, filename="<unknown>", *args, **kwargs):
+            if filename != "<unknown>":
+                parses[filename] += 1
+            return real(source, filename, *args, **kwargs)
+
+        monkeypatch.setattr(ast, "parse", parse)
+        return parses
+
+    def test_check_reads_and_parses_each_module_once(
+            self, tmp_path, monkeypatch, capsys):
+        """A whole cold ``check --lint-only`` (digest, both lints, every
+        flow pass) reads each file once and parses each module once.
+        The warm run reads once and parses nothing, and a cold run in a
+        fresh cache directory parses everything again: nothing parsed
+        outlives the run that parsed it."""
+        files = sorted(REPRO_ROOT.rglob("*.py"))
+        once_read = Counter({p.relative_to(REPRO_ROOT).as_posix(): 1
+                             for p in files})
+        once_parsed = Counter({str(p): 1 for p in files})
+        reads = self._count_reads(monkeypatch, REPRO_ROOT)
+        parses = self._count_parses(monkeypatch)
+
+        def source_reads():     # the baseline file is data, not source
+            return Counter({f: n for f, n in reads.items()
+                            if f.endswith(".py")})
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["check", "--lint-only"]) == 0
+        assert source_reads() == once_read
+        assert parses == once_parsed
+
+        reads.clear()
+        parses.clear()
+        assert main(["check", "--lint-only"]) == 0
+        assert "analyzed 0 module(s)" in capsys.readouterr().out
+        assert source_reads() == once_read
+        assert parses == Counter()
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        monkeypatch.chdir(fresh)
+        reads.clear()
+        assert main(["check", "--lint-only"]) == 0
+        assert parses == once_parsed
+
+    def test_lint_cache_keys_the_version_it_linted(
+            self, tmp_path, monkeypatch):
+        """An edit landing between two reads of one file must not store
+        one version's lint results under the other version's digest.
+        With one read per run there is no second version: the run lints
+        what it hashed, and the next run is served that result."""
+        target = REPRO_ROOT / "core" / "constants.py"
+        real = Path.read_text
+        seen = Counter()
+
+        def read_text(self, *args, **kwargs):
+            text = real(self, *args, **kwargs)
+            if self == target:
+                seen[target] += 1
+                if seen[target] > 1:
+                    text += "\nfrom repro.pmap.vax import VaxPmap\n"
+            return text
+
+        monkeypatch.chdir(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "read_text", read_text)
+            assert main(["check", "--lint-only"]) == 0
+        assert seen[target] == 1
+        assert main(["check", "--lint-only"]) == 0
+
+
+def _reference_walk_no_lambda(node):
+    """``cfg.walk_no_lambda`` as it was before the cached child index:
+    fresh ``ast.iter_child_nodes`` at every step."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        yield cur
+        for child in ast.iter_child_nodes(cur):
+            if not isinstance(child, (ast.Lambda, ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                stack.append(child)
+
+
+def _no_context(nodes):
+    return [n for n in nodes if not isinstance(n, ast.expr_context)]
+
+
+@pytest.fixture(scope="module")
+def real_trees():
+    source = SourceTree()
+    return [source.parse(module) for module in source.files]
+
+
+class TestOneWalker:
+    """The cached walker visits exactly what ``ast.walk`` and the old
+    ``walk_no_lambda`` visited (less ``expr_context`` nodes), and every
+    CFG node's calls are what the passes used to collect per visit."""
+
+    def test_walks_match_the_uncached_walks_on_every_node(
+            self, real_trees):
+        for tree in real_trees:
+            for node in _no_context(ast.walk(tree)):
+                assert list(cfg.walk(node)) == \
+                    _no_context(ast.walk(node))
+                assert list(cfg.walk_no_lambda(node)) == \
+                    _no_context(_reference_walk_no_lambda(node))
+
+    def test_leaves_store_nothing(self, real_trees):
+        for tree in real_trees:
+            for node in cfg.walk(tree):
+                if type(node) in cfg._LEAVES:
+                    assert not hasattr(node, "_repro_children")
+
+    def test_cfg_node_calls_match_the_per_visit_walk(self, real_trees):
+        handlers = 0
+        for tree in real_trees:
+            for _name, func in cfg.iter_functions(tree):
+                for node in cfg.build_cfg(func):
+                    want = tuple(
+                        c for expr in node.exprs
+                        for c in _reference_walk_no_lambda(expr)
+                        if isinstance(c, ast.Call))
+                    assert node.calls == want
+                    handlers += isinstance(node.stmt, ast.ExceptHandler)
+        assert handlers
 
 
 class TestReverseDependencyCone:

@@ -52,6 +52,18 @@ class TestBuilder:
         assert not store.may_raise
         assert load.may_raise
 
+    def test_lambda_bodies_raise_but_hold_no_calls(self):
+        """A node's calls stop at a lambda (its body runs elsewhere);
+        the raise heuristic still looks inside, as it always has."""
+        cfg = _cfg("""
+            def f(d, k):
+                get = lambda: d[k]
+                run(lambda: g(k), h(k))
+        """)
+        get, run = _stmt_nodes(cfg)
+        assert get.may_raise and get.calls == ()
+        assert [c.func.id for c in run.calls] == ["run", "h"]
+
     def test_if_both_branches_reach_exit(self):
         cfg = _cfg("""
             def f(c):

@@ -7,7 +7,8 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.determinism import check_module, run_pass
+from repro.analysis.determinism import check_module
+from repro.analysis.flow import run_flow_passes
 
 FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
 
@@ -61,8 +62,10 @@ class TestScope:
             "import time\n\n\n"
             "def elapsed():\n"
             "    return time.perf_counter()\n")
-        findings = run_pass(tmp_path, "repro")
-        assert [(f.module, f.rule) for f in findings] == [
+        report = run_flow_passes(tmp_path, "repro",
+                                 passes=("determinism",))
+        assert report.errors == []
+        assert [(f.module, f.rule) for f in report.findings] == [
             ("repro.bench.timer", "wall-clock")]
 
 

@@ -8,7 +8,8 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.typestate import check_module, in_scope, run_pass
+from repro.analysis.flow import run_flow_passes
+from repro.analysis.typestate import check_module, in_scope
 
 FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
 
@@ -223,4 +224,7 @@ class TestScopeAndTree:
     def test_real_tree_is_clean(self):
         """The shipped kernel honors its own protocols (any true
         finding must be fixed or baselined, not ignored)."""
-        assert run_pass() == []
+        report = run_flow_passes(passes=("typestate",))
+        assert report.findings == []
+        assert report.suppressed == []
+        assert report.errors == []
