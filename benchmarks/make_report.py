@@ -3,10 +3,15 @@
 recording paper-vs-measured for each table row.
 
 Run:  python benchmarks/make_report.py  (from the repository root)
+
+With ``--check`` it writes nothing: it exits 1 and prints a unified
+diff when EXPERIMENTS.md would change, 0 when it is up to date.
 """
 
 from __future__ import annotations
 
+import argparse
+import difflib
 import io
 import sys
 
@@ -200,7 +205,12 @@ COMMENTARY = """
 """
 
 
-def main() -> None:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="fail with a diff if EXPERIMENTS.md would "
+                             "change; write nothing")
+    args = parser.parse_args(argv)
     out = io.StringIO()
     out.write(HEADER)
     for builder in (zero_fill_table, fork_table, read_table,
@@ -210,9 +220,24 @@ def main() -> None:
         out.write("\n\n")
         print(f"generated: {table.title}")
     out.write(COMMENTARY)
+    if args.check:
+        with open("EXPERIMENTS.md") as f:
+            current = f.read()
+        diff = list(difflib.unified_diff(
+            current.splitlines(keepends=True),
+            out.getvalue().splitlines(keepends=True),
+            "EXPERIMENTS.md (committed)", "EXPERIMENTS.md (regenerated)"))
+        if diff:
+            sys.stdout.writelines(diff)
+            print("EXPERIMENTS.md is out of date: run "
+                  "python benchmarks/make_report.py")
+            return 1
+        print("EXPERIMENTS.md is up to date")
+        return 0
     with open("EXPERIMENTS.md", "w") as f:
         f.write(out.getvalue())
     print("wrote EXPERIMENTS.md")
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,8 +144,13 @@ class PageFault(Exception):
     """
 
     def __init__(self, vaddr, fault_type, pmap=None, cpu_id=None):
-        super().__init__(f"page fault at {vaddr:#x} ({fault_type!r})")
+        # The kernel catches nearly every trap, so the message is built
+        # only when someone asks for it (``__str__``).
+        super().__init__(vaddr, fault_type)
         self.vaddr = vaddr
         self.fault_type = fault_type
         self.pmap = pmap
         self.cpu_id = cpu_id
+
+    def __str__(self) -> str:
+        return f"page fault at {self.vaddr:#x} ({self.fault_type!r})"

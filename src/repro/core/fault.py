@@ -23,7 +23,7 @@ which both entry points call:
   :meth:`~repro.pmap.interface.Pmap.enter`.  The hot path uses integer
   protection masks, the memoized shadow-chain walk
   (:meth:`repro.core.vm_object.VMObject.shadow_chain`) and builds event
-  payloads only when the bus has subscribers.
+  payloads only when someone listens on the bus.
 * :func:`vm_fault_batch` — a *run* of consecutive pending faults
   against the same map entry: one map lookup and entry preparation,
   :func:`_fault_page` per page, and one
@@ -87,10 +87,11 @@ def vm_fault(kernel, task, vaddr: int, fault_type: FaultType,
 def _resolve_fault(kernel, task, vaddr: int, fault_type: FaultType,
                    wiring: bool, span) -> FaultOutcome:
     """The body of :func:`vm_fault`, run inside its ``vm/fault`` span
-    when the bus has subscribers (*span* is ``None`` otherwise)."""
+    when someone listens on the bus (*span* is ``None`` otherwise)."""
     page_addr = vaddr & -kernel.vm.page_size
     vm_map = task.vm_map
-    result = _lookup_staged(kernel, vm_map, page_addr, fault_type)
+    with kernel.events.stage("map_lookup"):
+        result = vm_map.lookup(page_addr, fault_type)
     writing = bool(int(fault_type) & _WRITE_BIT)
     outcome = FaultOutcome(page=None)  # type: ignore[arg-type]
     result = _prepare_entry(kernel, vm_map, result, page_addr,
@@ -123,8 +124,11 @@ def _fault_page(kernel, result, run_base: int, page_addr: int,
     # faulting task — never a hang, never silently wrong data (the
     # paper's Section 4 concern about errant user-state managers).
     try:
-        page, level = _find_page_staged(kernel, first_object,
-                                        first_offset, outcome)
+        # Pager calls and the zero fill open their own stage spans
+        # inside the walk, so its *self* time is the chain descent.
+        with kernel.events.stage("shadow_walk"):
+            page, level = _find_page(kernel, first_object, first_offset,
+                                     outcome)
     except (MemoryObjectError, DiskIOError):
         kernel.stats.fault_errors += 1
         raise
@@ -154,32 +158,6 @@ def _fault_page(kernel, result, run_base: int, page_addr: int,
     return prot_bits, page, wired
 
 
-def _lookup_staged(kernel, vm_map, page_addr: int,
-                   fault_type: FaultType):
-    """An address-map lookup wrapped in a ``stage/map_lookup`` span
-    when the bus has subscribers (the telemetry layer attributes the
-    entry-scan time to the ``map_lookup`` pipeline stage)."""
-    events = kernel.events
-    if events.active:
-        with events.span("stage", "map_lookup"):
-            return vm_map.lookup(page_addr, fault_type)
-    return vm_map.lookup(page_addr, fault_type)
-
-
-def _find_page_staged(kernel, first_object, first_offset: int,
-                      outcome: FaultOutcome):
-    """:func:`_find_page` wrapped in a ``stage/shadow_walk`` span when
-    the bus has subscribers.  Pager calls and the zero fill open their
-    own stage spans inside it, so the walk's *self* time is the chain
-    descent alone."""
-    events = kernel.events
-    if events.active:
-        with events.span("stage", "shadow_walk"):
-            return _find_page(kernel, first_object, first_offset,
-                              outcome)
-    return _find_page(kernel, first_object, first_offset, outcome)
-
-
 def _prepare_entry(kernel, vm_map, result, page_addr: int,
                    fault_type: FaultType, writing: bool,
                    outcome: FaultOutcome):
@@ -197,7 +175,8 @@ def _prepare_entry(kernel, vm_map, result, page_addr: int,
     if entry.vm_object is None:
         entry.vm_object = vm.objects.create_internal(entry.size)
         entry.offset = 0
-        result = _lookup_staged(kernel, vm_map, page_addr, fault_type)
+        with kernel.events.stage("map_lookup"):
+            result = vm_map.lookup(page_addr, fault_type)
         entry = result.leaf_entry
 
     # (3) Shadow a needs-copy entry before letting a write through.
@@ -228,7 +207,8 @@ def _prepare_entry(kernel, vm_map, result, page_addr: int,
             for page in old_object.iter_resident():
                 if lo <= page.offset < hi:
                     vm.pmap_system.remove_all(page.phys_addr)
-        result = _lookup_staged(kernel, vm_map, page_addr, fault_type)
+        with kernel.events.stage("map_lookup"):
+            result = vm_map.lookup(page_addr, fault_type)
     return result
 
 
@@ -258,12 +238,7 @@ def _finish_page(kernel, result, page, level: int, first_object,
     # (5) Copy-on-write copy when a write found its data in a backing
     # object.
     if page.vm_object is not first_object and writing:
-        events = kernel.events
-        if events.active:
-            with events.span("stage", "copy_up"):
-                page = _copy_up(kernel, page, first_object,
-                                first_offset)
-        else:
+        with kernel.events.stage("copy_up"):
             page = _copy_up(kernel, page, first_object, first_offset)
         outcome.cow_copied = True
         kernel.stats.cow_faults += 1
@@ -333,11 +308,7 @@ def _find_page(kernel, first_object, first_offset: int,
     # the page is immediately private to it.
     page = vm.resident.allocate(first_object, first_offset, busy=True)
     try:
-        events = kernel.events
-        if events.active:
-            with events.span("stage", "zero_fill"):
-                vm.pmap_system.zero_page(page.phys_addr)
-        else:
+        with kernel.events.stage("zero_fill"):
             vm.pmap_system.zero_page(page.phys_addr)
         outcome.zero_filled = True
         kernel.stats.zero_fill_count += 1
@@ -486,7 +457,8 @@ def _resolve_batch(kernel, task, start: int, npages: int,
             # New run: flush the finished one, re-resolve the map and
             # prepare the entry (materialize / shadow) exactly once.
             flush()
-            result = _lookup_staged(kernel, vm_map, cursor, fault_type)
+            with events.stage("map_lookup"):
+                result = vm_map.lookup(cursor, fault_type)
             prep_outcome = FaultOutcome(page=None)  # type: ignore
             result = _prepare_entry(kernel, vm_map, result, cursor,
                                     fault_type, writing, prep_outcome)

@@ -206,17 +206,11 @@ class MachKernel:
         # *allocating* track (the daemon's own events land on the
         # "daemon" track), so fault telemetry can attribute the stall
         # to ``reclaim`` instead of the stage that allocated.
-        if self.events.active:
-            with self.events.span("stage", "reclaim"):
-                self._reclaim_now()
-        else:
-            self._reclaim_now()
-
-    def _reclaim_now(self) -> None:
-        self.pageout_daemon.run()
-        if self.vm.resident.free_count == 0:
-            # Last resort: drop cached objects and their pages.
-            self.vm.objects.flush_cache()
+        with self.events.stage("reclaim"):
+            self.pageout_daemon.run()
+            if self.vm.resident.free_count == 0:
+                # Last resort: drop cached objects and their pages.
+                self.vm.objects.flush_cache()
 
     # ------------------------------------------------------------------
     # Task lifecycle

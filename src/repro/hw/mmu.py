@@ -105,31 +105,18 @@ class MMU:
 
         # TLB miss: walk the machine-dependent structure.  The hit
         # path above stays uninstrumented; only the miss pays the
-        # stage-span probe (and only when the bus has subscribers).
-        events = self.machine.events
-        if events.active:
-            with events.span("stage", "mmu_probe"):
-                return self._translate_miss(cpu, pmap, tlb, vaddr,
-                                            access, rmw, required_bits)
-        return self._translate_miss(cpu, pmap, tlb, vaddr, access, rmw,
-                                    required_bits)
-
-    def _translate_miss(self, cpu, pmap, tlb, vaddr: int,
-                        access: FaultType, rmw: bool,
-                        required_bits: int) -> int:
-        """The TLB-miss path: hardware-structure walk, fill, R/M note.
-        Raises :class:`PageFault` when the pmap has no (sufficient)
-        translation."""
-        translation = pmap.hw_lookup(vaddr)
-        if translation is None:
-            raise self._fault(cpu, vaddr, access, rmw)
-        paddr, prot = translation
-        if int(prot) & required_bits != required_bits:
-            raise self._fault(cpu, vaddr, access, rmw)
-        machine = self.machine
-        machine.clock.charge(machine.costs.tlb_fill_us)
-        page_base = vaddr - (vaddr % tlb.page_size)
-        tlb.fill(pmap, vaddr, paddr - (vaddr - page_base), prot)
-        pmap.system.note_access(paddr,
-                                write=bool(required_bits & _WRITE_BIT))
-        return paddr
+        # stage-span probe.
+        with self.machine.events.stage("mmu_probe"):
+            translation = pmap.hw_lookup(vaddr)
+            if translation is None:
+                raise self._fault(cpu, vaddr, access, rmw)
+            paddr, prot = translation
+            if int(prot) & required_bits != required_bits:
+                raise self._fault(cpu, vaddr, access, rmw)
+            machine = self.machine
+            machine.clock.charge(machine.costs.tlb_fill_us)
+            page_base = vaddr - (vaddr % tlb.page_size)
+            tlb.fill(pmap, vaddr, paddr - (vaddr - page_base), prot)
+            pmap.system.note_access(paddr,
+                                    write=bool(required_bits & _WRITE_BIT))
+            return paddr

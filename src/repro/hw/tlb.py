@@ -100,7 +100,7 @@ class TLB:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
-            if self.events.active:
+            if self.events.recording:
                 self.events.emit("tlb", "hit", cpu=self.cpu_id,
                                  tag=key >> TAG_SHIFT,
                                  vpn=key & _VPN_MASK)
@@ -120,13 +120,13 @@ class TLB:
         if key not in entries and len(entries) >= self.capacity:
             evicted_key = next(iter(entries))
             del entries[evicted_key]
-            if self.events.active:
+            if self.events.recording:
                 self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                  tag=evicted_key >> TAG_SHIFT,
                                  vpn=evicted_key & _VPN_MASK)
         entries[key] = TLBEntry(paddr, prot)
         self.stats.fills += 1
-        if self.events.active:
+        if self.events.recording:
             self.events.emit("tlb", "fill", cpu=self.cpu_id,
                              tag=key >> TAG_SHIFT, vpn=key & _VPN_MASK)
 
@@ -136,7 +136,7 @@ class TLB:
         removed = self._entries.pop(key, None)
         if removed is not None:
             self.stats.entry_flushes += 1
-            if self.events.active:
+            if self.events.recording:
                 self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                  tag=key >> TAG_SHIFT,
                                  vpn=key & _VPN_MASK)
@@ -149,13 +149,13 @@ class TLB:
         count = 0
         entries = self._entries
         base = id(pmap) << TAG_SHIFT
-        active = self.events.active
+        recording = self.events.recording
         if last - first <= len(entries):
             # Narrow flush (the common shootdown shape): probe the few
             # covered pages directly instead of scanning the whole TLB.
             for vpn in range(first, last):
                 if entries.pop(base | vpn, None) is not None:
-                    if active:
+                    if recording:
                         self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                          tag=base >> TAG_SHIFT, vpn=vpn)
                     count += 1
@@ -164,13 +164,13 @@ class TLB:
                         if k & ~_VPN_MASK == base
                         and first <= k & _VPN_MASK < last]:
                 del entries[key]
-                if active:
+                if recording:
                     self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                      tag=key >> TAG_SHIFT,
                                      vpn=key & _VPN_MASK)
                 count += 1
         self.stats.entry_flushes += count
-        if active:
+        if recording:
             self.events.emit("tlb", "flush_range", cpu=self.cpu_id,
                              tag=base >> TAG_SHIFT, start=start, end=end)
         return count
@@ -179,15 +179,15 @@ class TLB:
         """Drop every translation belonging to *pmap*."""
         base = id(pmap) << TAG_SHIFT
         stale = [key for key in self._entries if key & ~_VPN_MASK == base]
-        active = self.events.active
+        recording = self.events.recording
         for key in stale:
             del self._entries[key]
-            if active:
+            if recording:
                 self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                  tag=key >> TAG_SHIFT,
                                  vpn=key & _VPN_MASK)
         self.stats.entry_flushes += len(stale)
-        if active:
+        if recording:
             self.events.emit("tlb", "flush_pmap", cpu=self.cpu_id,
                              tag=base >> TAG_SHIFT)
         return len(stale)
@@ -195,14 +195,14 @@ class TLB:
     def flush_all(self) -> int:
         """Drop everything (untagged-TLB context switch, or shootdown)."""
         count = len(self._entries)
-        if self.events.active:
+        if self.events.recording:
             for key in list(self._entries):
                 self.events.emit("tlb", "drop", cpu=self.cpu_id,
                                  tag=key >> TAG_SHIFT,
                                  vpn=key & _VPN_MASK)
         self._entries.clear()
         self.stats.full_flushes += 1
-        if self.events.active:
+        if self.events.recording:
             self.events.emit("tlb", "flush_all", cpu=self.cpu_id)
         return count
 

@@ -1,17 +1,27 @@
-"""The instrumentation event bus.
+"""The instrumentation event bus and the fault-stage ledger.
 
 Every layer of the reproduction — fault handler, pageout daemon, pmap
 and TLB, pagers, IPC ports, scheduler, buffer cache — reports what it
-is doing through one :class:`EventBus` owned by the machine.  Observers
-(:mod:`repro.trace`, :mod:`repro.analysis.race`, the metrics registry,
-the Chrome-trace exporter) subscribe to the bus instead of patching
-entry points or installing duck-typed hook attributes.
+is doing through one :class:`EventBus` owned by the machine: spans
+with a payload (:meth:`~EventBus.span`), the payload-free span of one
+fault-pipeline stage (:meth:`~EventBus.stage`, one reusable object per
+bus and stage), and instants (:meth:`~EventBus.emit`).  Subscribers
+(:mod:`repro.trace`, the race detector, the metrics registry, the
+recorder) are plain callables that get every :class:`Event`.
 
-The bus is deliberately allocation-free when nobody is listening:
-``emit()`` returns before constructing an :class:`Event` unless at
-least one subscriber is attached, and ``span()`` hands back a shared
-null context manager.  The fault hot path therefore pays one attribute
-load and one truth test when untraced.
+Fault telemetry is not a subscriber.  While a
+:class:`~repro.obs.telemetry.FaultTelemetry` is attached, the bus keeps
+the fault-stage ledger per display track — open faults, open stage
+frames, pending trap-probe time, and a bounded log of compact records
+while a fault is open — so a span edge costs one in-place update, not
+an ``Event`` and a fan-out, and the telemetry gets one call per closed
+fault.  The last detach drops the ledger.
+
+``active`` (a subscriber or a telemetry is attached) guards span
+sites; ``recording`` (a subscriber is attached, or a fault is open
+under a telemetry) guards instants, which no one would keep otherwise.
+Both are plain attributes the bus maintains, so an idle check is one
+attribute load; with nobody listening nothing is allocated.
 
 This module is imported by the hardware substrate and the pmap layer,
 so it must stay self-contained: standard library only, no imports from
@@ -21,9 +31,37 @@ any other ``repro`` package (the layering lint enforces this via its
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-__all__ = ["Event", "EventBus", "EventRecorder"]
+__all__ = ["Event", "EventBus", "EventRecorder", "STAGE_EVENTS"]
+
+#: bus span name -> the fault-pipeline stage it attributes to.
+STAGE_EVENTS = {
+    "stage/mmu_probe": "mmu_probe",
+    "stage/map_lookup": "map_lookup",
+    "stage/shadow_walk": "shadow_walk",
+    "pager/call": "pager_wait",
+    "stage/zero_fill": "zero_fill",
+    "stage/copy_up": "copy_up",
+    "pmap/enter": "pmap_enter",
+    "pmap/enter_batch": "pmap_enter",
+    "stage/shootdown": "shootdown",
+    "stage/reclaim": "reclaim",
+}
+
+#: Records logged per open fault for worst-fault trace export.
+FAULT_EVENT_CAP = 2048
+
+#: The ledger role of ``vm/fault`` edges; every other role is the name
+#: of the stage the span attributes to.
+_FAULT = "vm/fault"
+
+#: (subsystem, kind) -> the span's ledger role.
+_ROLES: Dict[Tuple[str, str], str] = {
+    tuple(name.split("/")): stage for name, stage in STAGE_EVENTS.items()}
+_ROLES["vm", "fault"] = _FAULT
+#: the kinds :meth:`EventBus.stage` serves (``stage/<kind>`` spans).
+_STAGES = [kind for sub, kind in _ROLES if sub == "stage"]
 
 
 class Event:
@@ -72,8 +110,16 @@ class _ZeroClock:
     elapsed_us = 0.0
 
 
+class _CpuTracks(dict):
+    """cpu id -> its default display track, ``cpu<N>`` (formatted once)."""
+
+    def __missing__(self, cpu: int) -> str:
+        name = self[cpu] = f"cpu{cpu}"
+        return name
+
+
 class _NullSpan:
-    """Shared do-nothing span returned when the bus has no subscribers."""
+    """Shared do-nothing span returned when nobody is listening."""
 
     __slots__ = ()
 
@@ -91,7 +137,7 @@ _NULL_SPAN = _NullSpan()
 
 
 class _Span:
-    """A live begin/end span: emits ``B`` on enter, ``E`` on exit.
+    """A live begin/end span with payload: ``B`` on enter, ``E`` on exit.
 
     ``note(**data)`` accumulates payload attached to the closing event
     (the natural place for outcomes computed during the span).  An
@@ -100,7 +146,7 @@ class _Span:
     """
 
     __slots__ = ("_bus", "_subsystem", "_kind", "_task", "_begin_data",
-                 "_end_data")
+                 "_end_data", "_role")
 
     def __init__(self, bus: "EventBus", subsystem: str, kind: str,
                  task: str, begin_data: Dict[str, Any]) -> None:
@@ -110,22 +156,105 @@ class _Span:
         self._task = task
         self._begin_data = begin_data
         self._end_data: Dict[str, Any] = {}
+        self._role = _ROLES.get((subsystem, kind))
 
     def note(self, **data: Any) -> "_Span":
         self._end_data.update(data)
         return self
 
     def __enter__(self) -> "_Span":
-        self._bus.emit(self._subsystem, self._kind, phase="B",
-                       task=self._task, **self._begin_data)
+        self._bus._edge(self._subsystem, self._kind, "B", self._task,
+                        None, self._begin_data, self._role)
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
         if exc_type is not None and "error" not in self._end_data:
             self._end_data["error"] = exc_type.__name__
-        self._bus.emit(self._subsystem, self._kind, phase="E",
-                       task=self._task, **self._end_data)
+        self._bus._edge(self._subsystem, self._kind, "E", self._task,
+                        None, self._end_data, self._role)
         return False
+
+
+class _StageSpan:
+    """The reusable, payload-free span of one fault-pipeline stage.
+
+    It holds no per-use state, so one object serves every (nested) use
+    on its bus.  An escaping exception still marks the closing edge
+    with ``error`` (that is how a trap-raising ``mmu_probe`` is billed
+    to the fault it causes).
+    """
+
+    __slots__ = ("_bus", "_kind")
+
+    def __init__(self, bus: "EventBus", kind: str) -> None:
+        self._bus = bus
+        self._kind = kind
+
+    def __enter__(self) -> "_StageSpan":
+        self._bus._edge("stage", self._kind, "B", "", None, {},
+                        self._kind)
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        data = {} if exc_type is None else {"error": exc_type.__name__}
+        self._bus._edge("stage", self._kind, "E", "", None, data,
+                        self._kind)
+        return False
+
+
+class _OpenFault:
+    """One ``vm/fault`` span open on a track, as the ledger keeps it.
+
+    ``stage_us`` is the stage self time billed to it, ``nested_us``
+    the latency of faults nested in it.  Its records start at
+    ``log[first]``; ``seen`` counts them once it closes (until then it
+    holds the track's ``dropped`` count at open).
+    """
+
+    __slots__ = ("start_us", "task", "vaddr", "stage_us", "nested_us",
+                 "log", "first", "seen")
+
+    def __init__(self, start_us: float, task: str, vaddr: Any,
+                 log: List[tuple], dropped: int) -> None:
+        self.start_us = start_us
+        self.task = task
+        self.vaddr = vaddr
+        self.stage_us: Dict[str, float] = {}
+        self.nested_us = 0.0
+        self.log = log
+        self.first = len(log)
+        self.seen = dropped
+
+    def records(self) -> Tuple[List[tuple], bool]:
+        """``(records, truncated)`` of a fault as it closes: its first
+        :data:`FAULT_EVENT_CAP` records, ``B`` through ``E``, each the
+        :class:`Event` fields in order, and whether it saw more."""
+        return (self.log[self.first:self.first + FAULT_EVENT_CAP],
+                self.seen > FAULT_EVENT_CAP)
+
+
+class _Track:
+    """The ledger state of one display track (spans nest strictly per
+    track)."""
+
+    __slots__ = ("faults", "frames", "pending_mmu_us", "log", "limit",
+                 "dropped")
+
+    def __init__(self) -> None:
+        self.faults: List[_OpenFault] = []
+        #: open stage frames: [stage, kind, start_us, child_us].
+        self.frames: List[list] = []
+        #: a trap-raising ``stage/mmu_probe`` closes *before* the
+        #: ``vm/fault`` span it causes opens; its self time waits here
+        #: for the next fault on the track.
+        self.pending_mmu_us = 0.0
+        #: records while a fault is open, appended only while the
+        #: innermost fault has room (an outer one is full first).
+        self.log: List[tuple] = []
+        #: log length at which the innermost fault is full (0: none).
+        self.limit = 0
+        #: records left out of a full log, for the truncation flags.
+        self.dropped = 0
 
 
 class EventBus:
@@ -133,9 +262,10 @@ class EventBus:
 
     One bus per :class:`~repro.hw.machine.Machine`; the kernel keeps an
     alias (``kernel.events``) and updates ``current_cpu`` as the
-    simulated point of execution moves.  Emitters call :meth:`emit`
-    (instant events) or :meth:`span` (nested begin/end pairs);
-    observers register plain callables with :meth:`subscribe`.
+    simulated point of execution moves.  Emitters call :meth:`span`,
+    :meth:`stage` or :meth:`emit`; observers register plain callables
+    with :meth:`subscribe`, and fault telemetry attaches with
+    :meth:`attach_telemetry`.
     """
 
     def __init__(self, clock: Optional[Any] = None) -> None:
@@ -145,12 +275,22 @@ class EventBus:
         self.current_cpu = 0
         self._subscribers: List[Callable[[Event], None]] = []
         self._track_stack: List[str] = []
-        #: True when at least one subscriber is attached.  Emit sites
-        #: with non-trivial payload preparation guard on this; it is a
-        #: plain attribute (maintained by subscribe/unsubscribe), not a
-        #: property, so the disabled check really is one attribute load
-        #: — a property call would dominate the untraced fault path.
+        self._cpu_tracks = _CpuTracks()
+        self._stages = {kind: _StageSpan(self, kind) for kind in _STAGES}
+        #: attached fault telemetries, and the ledger they share
+        #: (track -> _Track; None while none is attached).
+        self._telemetries: List[Any] = []
+        self._ledger: Optional[Dict[str, _Track]] = None
+        self._open_faults = 0
+        #: a subscriber or a telemetry is attached (see module doc).
         self.active = False
+        #: a subscriber is attached or a fault is open under a
+        #: telemetry (see module doc).
+        self.recording = False
+
+    def _listeners_changed(self) -> None:
+        self.active = bool(self._subscribers or self._telemetries)
+        self.recording = bool(self._subscribers) or self._open_faults > 0
 
     # -- subscription ------------------------------------------------
 
@@ -158,7 +298,7 @@ class EventBus:
         """Register *fn* to receive every event.  Idempotent."""
         if fn not in self._subscribers:
             self._subscribers.append(fn)
-        self.active = True
+        self._listeners_changed()
         return fn
 
     def unsubscribe(self, fn: Callable[[Event], None]) -> None:
@@ -167,7 +307,43 @@ class EventBus:
             self._subscribers.remove(fn)
         except ValueError:
             pass
-        self.active = bool(self._subscribers)
+        self._listeners_changed()
+
+    def attach_telemetry(self, telemetry: Any) -> None:
+        """Start feeding *telemetry* from the fault-stage ledger (the
+        first attach starts an empty ledger).  *telemetry* provides
+        ``fault_closed(fault, total_us, track, error)`` and
+        ``outside_stage(stage, self_us)``.  Idempotent."""
+        if telemetry not in self._telemetries:
+            self._telemetries.append(telemetry)
+        if self._ledger is None:
+            self._ledger = {}
+        self._listeners_changed()
+
+    def detach_telemetry(self, telemetry: Any) -> None:
+        """Stop feeding *telemetry* (settling its trap probes first);
+        tolerates a detached one.  The last detach drops the ledger,
+        so a later attach starts clean."""
+        if telemetry not in self._telemetries:
+            return
+        self.settle_probes([telemetry])
+        self._telemetries.remove(telemetry)
+        if not self._telemetries:
+            self._ledger = None
+            self._open_faults = 0
+        self._listeners_changed()
+
+    def settle_probes(self, telemetries: Optional[List[Any]] = None
+                      ) -> None:
+        """Bill trap-probe time whose fault never opened (the access
+        error propagated) as outside-fault ``mmu_probe`` time, to
+        *telemetries* (default: every attached one)."""
+        for state in (self._ledger or {}).values():
+            if state.pending_mmu_us and not state.faults:
+                for telemetry in telemetries or self._telemetries:
+                    telemetry.outside_stage("mmu_probe",
+                                            state.pending_mmu_us)
+                state.pending_mmu_us = 0.0
 
     # -- track overrides ---------------------------------------------
 
@@ -186,30 +362,141 @@ class EventBus:
     def emit(self, subsystem: str, kind: str, phase: str = "i",
              task: str = "", cpu: Optional[int] = None,
              **data: Any) -> Optional[Event]:
-        """Publish one event; a no-op (returning None) when nobody is
-        subscribed — no :class:`Event` is allocated."""
-        subscribers = self._subscribers
-        if not subscribers:
+        """Publish one event.  Returns the :class:`Event` handed to the
+        subscribers, or None when there are none (nothing is
+        allocated).  An instant is a no-op unless :attr:`recording`."""
+        if phase == "i":
+            if not self.recording:
+                return None
+            return self._edge(subsystem, kind, phase, task, cpu, data,
+                              None)
+        if not self.active:
             return None
-        if cpu is None:
-            cpu = self.current_cpu
-        if self._track_stack:
-            track = self._track_stack[-1]
-        else:
-            track = f"cpu{cpu}"
-        event = Event(self.clock.elapsed_us, cpu, track, phase,
-                      subsystem, kind, task, data)
-        for fn in subscribers:
-            fn(event)
-        return event
+        return self._edge(subsystem, kind, phase, task, cpu, data,
+                          _ROLES.get((subsystem, kind)))
 
     def span(self, subsystem: str, kind: str, task: str = "",
              **data: Any):
         """A context manager emitting a ``B``/``E`` pair around its
-        body.  Returns a shared null span when nobody is subscribed."""
-        if not self._subscribers:
+        body.  Returns a shared null span when nobody is listening."""
+        if not self.active:
             return _NULL_SPAN
         return _Span(self, subsystem, kind, task, data)
+
+    def stage(self, kind: str):
+        """The payload-free ``stage/<kind>`` span of one fault-pipeline
+        stage: the bus's one reusable span for it, or a shared null
+        span when nobody is listening.  KeyError for any other kind."""
+        if not self.active:
+            return _NULL_SPAN
+        return self._stages[kind]
+
+    def _edge(self, subsystem: str, kind: str, phase: str, task: str,
+              cpu: Optional[int], data: Dict[str, Any],
+              role: Optional[str]) -> Optional[Event]:
+        """Deliver one span edge or instant: the ledger update first
+        (while a telemetry is attached), then every subscriber.  *role*
+        is the span's ledger role (None for instants and spans no
+        stage claims)."""
+        if cpu is None:
+            cpu = self.current_cpu
+        stack = self._track_stack
+        track = stack[-1] if stack else self._cpu_tracks[cpu]
+        ts = self.clock.elapsed_us
+        ledger = self._ledger
+        if ledger is not None:
+            state = ledger.get(track)
+            if state is None:
+                state = ledger[track] = _Track()
+            if role is _FAULT and phase == "B":
+                self._open_fault(state, ts, task, data)
+            log = state.log
+            if len(log) < state.limit:
+                log.append((ts, cpu, track, phase, subsystem, kind, task,
+                            data))
+            elif state.faults:
+                state.dropped += 1
+            if role is _FAULT:
+                if phase == "E" and state.faults:
+                    self._close_fault(state, ts, track, data)
+            elif role is not None:
+                if phase == "B":
+                    state.frames.append([role, kind, ts, 0.0])
+                elif phase == "E":
+                    self._close_stage(state, kind, ts, data)
+        subscribers = self._subscribers
+        if not subscribers:
+            return None
+        event = Event(ts, cpu, track, phase, subsystem, kind, task, data)
+        for fn in subscribers:
+            fn(event)
+        return event
+
+    # -- the fault-stage ledger --------------------------------------
+
+    def _open_fault(self, state: _Track, ts: float, task: str,
+                    data: Dict[str, Any]) -> None:
+        fault = _OpenFault(ts, task, data.get("vaddr"), state.log,
+                           state.dropped)
+        if state.pending_mmu_us:
+            fault.stage_us["mmu_probe"] = state.pending_mmu_us
+            state.pending_mmu_us = 0.0
+        state.faults.append(fault)
+        state.limit = fault.first + FAULT_EVENT_CAP
+        self._open_faults += 1
+        self.recording = True
+
+    def _close_stage(self, state: _Track, kind: str, ts: float,
+                     data: Dict[str, Any]) -> None:
+        frames = state.frames
+        if frames and frames[-1][1] == kind:
+            stage, _, start, child_us = frames.pop()
+        else:
+            for i in range(len(frames) - 2, -1, -1):
+                if frames[i][1] == kind:
+                    stage, _, start, child_us = frames.pop(i)
+                    break
+            else:
+                return  # attached mid-span: no matching B
+        duration = ts - start
+        self_us = max(0.0, duration - child_us)
+        if frames:
+            frames[-1][3] += duration
+        faults = state.faults
+        if faults:
+            stage_us = faults[-1].stage_us
+            stage_us[stage] = stage_us.get(stage, 0.0) + self_us
+        elif stage == "mmu_probe" and data.get("error"):
+            # The probe that raised the trap: part of the fault that
+            # is about to open on this track.
+            state.pending_mmu_us += self_us
+        else:
+            for telemetry in self._telemetries:
+                telemetry.outside_stage(stage, self_us)
+
+    def _close_fault(self, state: _Track, ts: float, track: str,
+                     data: Dict[str, Any]) -> None:
+        faults = state.faults
+        fault = faults.pop()
+        # Everything logged since it opened is its own (nested faults'
+        # records included), plus what was dropped meanwhile.
+        fault.seen = len(state.log) - fault.first \
+            + state.dropped - fault.seen
+        total = ts - fault.start_us
+        error = bool(data.get("error"))
+        for telemetry in self._telemetries:
+            telemetry.fault_closed(fault, total, track, error)
+        if faults:
+            # A nested fault (pager-driven) bills its whole latency to
+            # the parent's accounting, never double to its stages.
+            faults[-1].nested_us += total
+            state.limit = faults[-1].first + FAULT_EVENT_CAP
+        else:
+            state.log.clear()
+            state.limit = 0
+        self._open_faults -= 1
+        if not self._open_faults:
+            self.recording = bool(self._subscribers)
 
 
 class EventRecorder:

@@ -47,7 +47,10 @@ def chrome_trace(events: List[Any],
     """Convert bus events to a list of Chrome trace_event dicts.
 
     ``E`` events with no open ``B`` on their track (subscriber attached
-    mid-span) are dropped so the trace always balances.
+    mid-span) are dropped so the trace always balances.  A ``tag``
+    (the ``tlb/*`` events' pmap tag, a host object id) is renumbered
+    1, 2, ... by first appearance, so the same run exports the same
+    trace in every process.
     """
     tracks = sorted({e.track for e in events}, key=_track_order)
     tids = {track: i + 1 for i, track in enumerate(tracks)}
@@ -59,16 +62,20 @@ def chrome_trace(events: List[Any],
         out.append({"name": "thread_name", "ph": "M", "pid": _PID,
                     "tid": tids[track], "args": {"name": track}})
     open_depth: Dict[tuple, int] = {}
+    tags: Dict[Any, int] = {}
     for event in events:
         tid = tids[event.track]
         name = f"{event.subsystem}/{event.kind}"
+        args = _args(event.data)
+        if "tag" in args:
+            args["tag"] = tags.setdefault(args["tag"], len(tags) + 1)
         record: Dict[str, Any] = {
             "name": name,
             "cat": event.subsystem,
             "ts": event.ts_us,
             "pid": _PID,
             "tid": tid,
-            "args": _args(event.data),
+            "args": args,
         }
         if event.task:
             record["args"]["task"] = event.task

@@ -1,7 +1,7 @@
 """Per-fault pipeline-stage telemetry: tail latency with attribution.
 
-:class:`FaultTelemetry` subscribes to the :class:`~repro.obs.bus.EventBus`
-and turns the span stream into a fault-latency distribution with
+:class:`FaultTelemetry` attaches to the :class:`~repro.obs.bus.EventBus`
+and turns its span stream into a fault-latency distribution with
 per-stage attribution.  Every ``vm/fault`` span (from either entry
 point — ``vm_fault`` or the batch lane — which share one per-page
 resolver) becomes one latency sample; stage spans nested inside it
@@ -36,10 +36,15 @@ daemon — accumulate in :attr:`outside_us` so no stage time is silently
 dropped.  All durations are *simulated* microseconds off the machine
 clock, so reports are deterministic for a given seed.
 
-Distributions go into the bounded log-bucket
+The span bookkeeping — open faults, open stage frames, self time — is
+the bus's fault-stage ledger, updated in place on every span edge
+while a telemetry is attached (see :mod:`repro.obs.bus`); the
+telemetry gets one :meth:`FaultTelemetry.fault_closed` call per closed
+fault.  Distributions go into the bounded log-bucket
 :class:`~repro.obs.metrics.Histogram` (no raw samples kept); the K
-worst faults keep their buffered event lists for Chrome-trace export
-of exactly the tail the percentiles point at.
+worst faults keep their logged records, built into events only when
+:meth:`FaultTelemetry.worst_faults` asks, for Chrome-trace export of
+exactly the tail the percentiles point at.
 
 Standard library only — see the module docstring of
 :mod:`repro.obs.bus`.
@@ -51,25 +56,12 @@ import heapq
 import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.obs.bus import STAGE_EVENTS, Event
 from repro.obs.export import chrome_trace
 from repro.obs.metrics import Histogram
 
 __all__ = ["FaultTelemetry", "STAGES", "STAGE_EVENTS",
            "format_latency_report"]
-
-#: bus span name -> pipeline stage it attributes to.
-STAGE_EVENTS = {
-    "stage/mmu_probe": "mmu_probe",
-    "stage/map_lookup": "map_lookup",
-    "stage/shadow_walk": "shadow_walk",
-    "pager/call": "pager_wait",
-    "stage/zero_fill": "zero_fill",
-    "stage/copy_up": "copy_up",
-    "pmap/enter": "pmap_enter",
-    "pmap/enter_batch": "pmap_enter",
-    "stage/shootdown": "shootdown",
-    "stage/reclaim": "reclaim",
-}
 
 #: Report order of the pipeline stages ("reclaim" is the synchronous
 #: low-memory stall; "other" is the derived remainder of fault time no
@@ -77,40 +69,6 @@ STAGE_EVENTS = {
 STAGES = ("mmu_probe", "map_lookup", "shadow_walk", "pager_wait",
           "zero_fill", "copy_up", "pmap_enter", "shootdown",
           "reclaim", "other")
-
-#: Events buffered per fault for worst-fault trace export.
-_FAULT_EVENT_CAP = 2048
-
-
-class _OpenFault:
-    """One in-flight ``vm/fault`` span on a track."""
-
-    __slots__ = ("start", "task", "vaddr", "stage_us", "nested_us",
-                 "events", "truncated")
-
-    def __init__(self, event: Any) -> None:
-        self.start = event.ts_us
-        self.task = event.task
-        self.vaddr = event.data.get("vaddr")
-        self.stage_us: Dict[str, float] = {}
-        self.nested_us = 0.0
-        self.events: List[Any] = []
-        self.truncated = False
-
-
-class _TrackState:
-    """Per-track span bookkeeping (spans nest strictly per track)."""
-
-    __slots__ = ("faults", "stages", "pending_mmu_us")
-
-    def __init__(self) -> None:
-        self.faults: List[_OpenFault] = []
-        #: open stage frames: [stage, kind, start_ts, child_us].
-        self.stages: List[list] = []
-        #: a trap-raising ``stage/mmu_probe`` closes *before* the
-        #: ``vm/fault`` span it causes opens; its time is held here and
-        #: folded into the next fault on the track.
-        self.pending_mmu_us = 0.0
 
 
 class FaultTelemetry:
@@ -124,8 +82,10 @@ class FaultTelemetry:
         report = telemetry.report()
         report["p999_us"], report["stages"]["pager_wait"]["p99"]
 
-    ``keep_worst`` bounds how many worst-latency faults keep their
-    buffered event lists for :meth:`worst_chrome_trace`.
+    It is not a bus subscriber: the bus keeps the per-track fault-stage
+    ledger while it is attached and calls :meth:`fault_closed` once
+    per closed fault.  ``keep_worst`` bounds how many worst-latency
+    faults keep their logged records for :meth:`worst_chrome_trace`.
     """
 
     def __init__(self, keep_worst: int = 8) -> None:
@@ -139,27 +99,26 @@ class FaultTelemetry:
         #: (deferred batch flushes, daemon shootdowns).
         self.outside_us: Dict[str, float] = {}
         self.fault_errors = 0
-        self._tracks: Dict[str, _TrackState] = {}
         #: min-heap of (latency_us, seq, info-dict) for the K worst.
         self._worst: List[Tuple[float, int, Dict[str, Any]]] = []
         self._seq = itertools.count()
         self._bus: Optional[Any] = None
 
-    # -- subscription ------------------------------------------------
+    # -- attachment --------------------------------------------------
 
     def attach(self, bus: Any) -> "FaultTelemetry":
-        """Subscribe to *bus* (or to ``bus.events`` when given a
-        kernel or machine)."""
+        """Attach to *bus* (or to ``bus.events`` when given a kernel
+        or machine)."""
         bus = getattr(bus, "events", bus)
         if self._bus is not None:
             self.detach()
         self._bus = bus
-        bus.subscribe(self._on_event)
+        bus.attach_telemetry(self)
         return self
 
     def detach(self) -> None:
         if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
+            self._bus.detach_telemetry(self)
             self._bus = None
 
     def __enter__(self) -> "FaultTelemetry":
@@ -169,110 +128,68 @@ class FaultTelemetry:
         self.detach()
         return False
 
-    # -- event handling ----------------------------------------------
+    # -- the ledger's calls ------------------------------------------
 
-    def _on_event(self, event: Any) -> None:
-        track = self._tracks.get(event.track)
-        if track is None:
-            track = self._tracks[event.track] = _TrackState()
-        name = f"{event.subsystem}/{event.kind}"
-        phase = event.phase
-        is_fault = name == "vm/fault"
-        if is_fault and phase == "B":
-            fault = _OpenFault(event)
-            if track.pending_mmu_us:
-                fault.stage_us["mmu_probe"] = track.pending_mmu_us
-                track.pending_mmu_us = 0.0
-            track.faults.append(fault)
-        # Buffer into every open fault on the track — after a fault's
-        # B has opened it and before its E closes it, so each buffer
-        # is a balanced span subtree for trace export.
-        for fault in track.faults:
-            if len(fault.events) < _FAULT_EVENT_CAP:
-                fault.events.append(event)
-            else:
-                fault.truncated = True
-        if is_fault:
-            if phase == "E":
-                self._close_fault(track, event)
-        else:
-            stage = STAGE_EVENTS.get(name)
-            if stage is not None:
-                if phase == "B":
-                    track.stages.append([stage, event.kind,
-                                         event.ts_us, 0.0])
-                elif phase == "E":
-                    self._close_stage(track, event)
-
-    def _close_stage(self, track: _TrackState, event: Any) -> None:
-        frames = track.stages
-        for i in range(len(frames) - 1, -1, -1):
-            if frames[i][1] == event.kind:
-                stage, _, start, child_us = frames.pop(i)
-                break
-        else:
-            return  # attached mid-span: no matching B
-        duration = event.ts_us - start
-        self_us = max(0.0, duration - child_us)
-        if frames:
-            frames[-1][3] += duration
-        if track.faults:
-            fault = track.faults[-1]
-            fault.stage_us[stage] = \
-                fault.stage_us.get(stage, 0.0) + self_us
-        elif stage == "mmu_probe" and event.data.get("error"):
-            # The probe that raised the trap: part of the fault that
-            # is about to open on this track.
-            track.pending_mmu_us += self_us
-        else:
-            self.outside_us[stage] = \
-                self.outside_us.get(stage, 0.0) + self_us
-
-    def _close_fault(self, track: _TrackState, event: Any) -> None:
-        if not track.faults:
-            return  # attached mid-fault
-        fault = track.faults.pop()
-        total = event.ts_us - fault.start
+    def fault_closed(self, fault: Any, total: float, track: str,
+                     error: bool) -> None:
+        """Record one closed fault of *total* µs on *track*: its
+        latency, its stages' self time, and — only when it enters the
+        worst-K heap — its info dict and logged records."""
         self.latency.record(total)
-        if event.data.get("error"):
+        if error:
             self.fault_errors += 1
         attributed = fault.nested_us
+        stage_hist = self.stage_hist
         for stage, self_us in fault.stage_us.items():
-            self.stage_hist[stage].record(self_us)
+            stage_hist[stage].record(self_us)
             attributed += self_us
-        self.stage_hist["other"].record(max(0.0, total - attributed))
-        if track.faults:
-            # A nested fault (pager-driven) bills its whole latency to
-            # the parent's accounting, never double to its stages.
-            track.faults[-1].nested_us += total
-        if self.keep_worst > 0:
+        stage_hist["other"].record(max(0.0, total - attributed))
+        worst = self._worst
+        if len(worst) < self.keep_worst or (
+                worst and total > worst[0][0]):
+            records, truncated = fault.records()
             info = {
                 "latency_us": total,
                 "task": fault.task,
                 "vaddr": fault.vaddr,
-                "track": event.track,
+                "track": track,
                 "stage_us": dict(fault.stage_us),
-                "events": fault.events,
-                "truncated": fault.truncated,
+                "events": records,
+                "truncated": truncated,
             }
             item = (total, next(self._seq), info)
-            if len(self._worst) < self.keep_worst:
-                heapq.heappush(self._worst, item)
-            elif total > self._worst[0][0]:
-                heapq.heapreplace(self._worst, item)
+            if len(worst) < self.keep_worst:
+                heapq.heappush(worst, item)
+            else:
+                heapq.heapreplace(worst, item)
+
+    def outside_stage(self, stage: str, self_us: float) -> None:
+        """Record stage self time seen outside any open fault."""
+        self.outside_us[stage] = self.outside_us.get(stage, 0.0) + self_us
 
     # -- reporting ---------------------------------------------------
 
     def worst_faults(self) -> List[Dict[str, Any]]:
-        """The K worst-latency faults, slowest first."""
-        return [info for _, _, info in
-                sorted(self._worst, reverse=True)]
+        """The K worst-latency faults, slowest first.  Their ``events``
+        are built here from the logged records, one :class:`Event` per
+        record (a record nested faults share becomes one object)."""
+        built: Dict[int, Any] = {}
+        worst = []
+        for _, _, info in sorted(self._worst, reverse=True):
+            events = []
+            for record in info["events"]:
+                event = built.get(id(record))
+                if event is None:
+                    event = built[id(record)] = Event(*record)
+                events.append(event)
+            worst.append(dict(info, events=events))
+        return worst
 
     def worst_chrome_trace(self,
                            process_name: str = "repro-storm"
                            ) -> List[Dict[str, Any]]:
         """A Chrome trace_event list of the worst-percentile faults'
-        buffered span subtrees (loadable in Perfetto)."""
+        logged span subtrees (loadable in Perfetto)."""
         events: List[Any] = []
         seen = set()
         for info in self.worst_faults():
@@ -287,14 +204,8 @@ class FaultTelemetry:
         """A JSON-ready latency report: percentiles + per-stage
         attribution.  ``share`` is the stage's fraction of the total
         fault time across all faults."""
-        for track in self._tracks.values():
-            # A trap-raising probe whose fault never opened (e.g. the
-            # access error propagated) is plain outside-fault time.
-            if track.pending_mmu_us and not track.faults:
-                self.outside_us["mmu_probe"] = \
-                    self.outside_us.get("mmu_probe", 0.0) \
-                    + track.pending_mmu_us
-                track.pending_mmu_us = 0.0
+        if self._bus is not None:
+            self._bus.settle_probes()
         latency = self.latency
         total_us = latency.total
         stages: Dict[str, Any] = {}

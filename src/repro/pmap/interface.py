@@ -231,19 +231,20 @@ class PmapSystem:
                 plan.append((cpu, "deferred"))
             else:
                 plan.append((cpu, "lazy"))
-        if self.events.active:
-            self.events.emit(
+        events = self.events
+        if events.recording:
+            events.emit(
                 "pmap", "shootdown",
                 pmap=pmap, start=start, end=end,
                 strategy=strategy, declared=self.strategy, forced=force,
                 actions=tuple((cpu.cpu_id, action)
                               for cpu, action in plan))
+        if events.active:
             # The stage span covers plan *execution* only (the
             # synchronous flush/IPI cost); the ``pmap/shootdown``
             # instant above stays first — the race detector's window
             # must open before any flush lands.
-            with self.events.span("stage", "shootdown",
-                                  cpus=len(plan)):
+            with events.span("stage", "shootdown", cpus=len(plan)):
                 self._execute_plan(plan, pmap, start, end)
         else:
             self._execute_plan(plan, pmap, start, end)

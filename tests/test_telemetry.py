@@ -319,11 +319,10 @@ class TestWorstChromeTrace:
                     if entry.get("ph") in ("B", "E")]
 
     def test_event_cap_marks_truncation(self):
-        import repro.obs.telemetry as telemetry_mod
         bus = EventBus()
         telemetry = FaultTelemetry().attach(bus)
         with bus.span("vm", "fault", task="t0"):
-            for _ in range(telemetry_mod._FAULT_EVENT_CAP):
+            for _ in range(bus_mod.FAULT_EVENT_CAP):
                 bus.emit("stage", "zero_fill", phase="i")
         telemetry.detach()
         worst = telemetry.worst_faults()
