@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Analyzing a workload with the kernel tracer.
+"""Analyzing a workload with the event recorder and the kernel's counters.
 
-Attaches :class:`repro.trace.KernelTracer` to a memory-starved machine,
-runs a fork/COW/paging workload, and breaks down every fault, pageout
-and TLB shootdown the kernel performed — the observability story for
-the reproduction.
+Records a fork/COW/paging workload on a memory-starved machine with an
+:class:`repro.obs.EventRecorder`, then breaks down what the kernel did:
+the span profile of the recorded events, how each fault resolved, when
+the pageout daemon first laundered a page, and the kernel's own
+``KernelStats`` counters — the observability story for the
+reproduction.
 
 Run:  python examples/workload_analysis.py
 """
 
+from collections import Counter
+
 from repro.core.kernel import MachKernel
 from repro.hw.machine import MachineSpec
-from repro.trace import KernelTracer
+from repro.obs import EventRecorder, profile
 
 PAGE = 4096
 
@@ -41,31 +45,52 @@ def workload(kernel: MachKernel) -> None:
         child.terminate()
 
 
+def fault_kind(data: dict) -> str:
+    """How one fault resolved, from its ``vm/fault`` end event."""
+    parts = [label for key, label in (("zero_filled", "zero-fill"),
+                                      ("paged_in", "pagein"),
+                                      ("shadow_created", "shadow"),
+                                      ("cow_copied", "cow-copy"))
+             if data.get(key)]
+    return "+".join(parts) or "soft"
+
+
 def main() -> None:
     kernel = MachKernel(SPEC)
-    tracer = KernelTracer(kernel)
-    with tracer:
+    with EventRecorder(kernel.events) as recorder:
         workload(kernel)
+    events = recorder.events
 
     print("workload ran on a 32-frame machine; here is everything the "
           "kernel did:\n")
-    print(tracer.summary())
+    print(profile(events))
 
-    print("\nfirst ten events:")
-    for event in tracer.events[:10]:
-        print(f"  {event}")
+    faults = [e for e in events if e.name == "vm/fault" and e.phase == "E"
+              and "error" not in e.data]
+    print("\nfault kinds:")
+    for kind, count in Counter(fault_kind(e.data)
+                               for e in faults).most_common():
+        print(f"  {kind:<24}{count}")
 
-    pageouts = [e for e in tracer.events if e.kind == "pageout"]
+    print("\nfirst ten faults:")
+    for event in faults[:10]:
+        print(f"  [{event.ts_us / 1000:10.3f}ms] {event.task:<10} "
+              f"{fault_kind(event.data)}")
+
+    pageouts = [e for e in events
+                if e.name == "pageout/launder" and e.phase == "B"]
     if pageouts:
         print(f"\nfirst pageout happened at "
-              f"{pageouts[0].timestamp_us / 1000:.2f} ms simulated — "
+              f"{pageouts[0].ts_us / 1000:.2f} ms simulated — "
               f"the working set outgrew memory there.")
 
-    cow = [e for e in tracer.events if "cow-copy" in e.detail]
-    print(f"\n{len(cow)} copy-on-write copies across 3 fork "
-          f"generations; each is one page actually copied, everything "
-          f"else was shared.")
-    print(f"\nfinal statistics: {kernel.stats!r}")
+    stats = kernel.stats
+    print(f"\n{stats.cow_faults} copy-on-write faults across 3 fork "
+          f"generations; each copied one page, everything else was "
+          f"shared.")
+    print(f"\nfinal statistics: {stats!r}, "
+          f"reactivations={stats.reactivations}, "
+          f"shootdowns={kernel.pmap_system.shootdowns}")
 
 
 if __name__ == "__main__":

@@ -90,11 +90,11 @@ TELEMETRY = ("obs.bus",)
 #: ``Port.injector``), never via imports from below.
 UPPER_LAYERS = ("pager", "ipc", "fs", "unix", "bench", "baseline",
                 "dist", "sched", "analysis", "inject", "viz", "obs",
-                "trace", "cli")
+                "cli")
 
 
 #: Part of the lint cache key: bump on any rule/behavior change.
-LINT_VERSION = "2"
+LINT_VERSION = "3"
 
 
 @dataclass(frozen=True)

@@ -294,6 +294,26 @@ def run_pager_storm(arch: str = "generic", tasks: int = 8,
     return report, telemetry
 
 
+def _open_matrix(storm: str, archs, quick: bool, tasks, pages, rounds,
+                 seed: int, **header):
+    """The prologue both storm matrices share: resolve the load shape
+    (``None`` takes the quick or full default) and the arch list, and
+    open the payload.  Returns ``(archs, payload, shape)``: *payload*
+    carries the header fields, then *header*, then an empty
+    ``"archs"`` dict; *shape* is the per-cell keyword arguments."""
+    default = QUICK_LOAD if quick else FULL_LOAD
+    shape = {"tasks": default[0] if tasks is None else tasks,
+             "pages": default[1] if pages is None else pages,
+             "rounds": default[2] if rounds is None else rounds,
+             "seed": seed}
+    if archs is None:
+        archs = list(QUICK_ARCHS) if quick else list(BENCH_ARCHS)
+    payload = {"storm": storm, "quick": quick, "seed": seed,
+               "tasks": shape["tasks"], "pages": shape["pages"],
+               "rounds": shape["rounds"], **header, "archs": {}}
+    return archs, payload, shape
+
+
 def run_pager_storm_matrix(archs=None, quick: bool = False,
                            tasks: int | None = None,
                            pages: int | None = None,
@@ -308,30 +328,15 @@ def run_pager_storm_matrix(archs=None, quick: bool = False,
     ``serialized`` sub-dict and ``p99_vs_serialized`` /
     ``elapsed_vs_serialized`` ratios (< 1 means v2 is better).
     """
-    shape = QUICK_LOAD if quick else FULL_LOAD
-    tasks = shape[0] if tasks is None else tasks
-    pages = shape[1] if pages is None else pages
-    rounds = shape[2] if rounds is None else rounds
-    if archs is None:
-        archs = list(QUICK_ARCHS) if quick else list(BENCH_ARCHS)
-    payload = {
-        "storm": "pager-stall",
-        "quick": quick,
-        "seed": seed,
-        "tasks": tasks,
-        "pages": pages,
-        "rounds": rounds,
-        "stall_rate": PAGER_STALL_RATE,
-        "archs": {},
-    }
+    archs, payload, shape = _open_matrix(
+        "pager-stall", archs, quick, tasks, pages, rounds, seed,
+        stall_rate=PAGER_STALL_RATE)
     telemetries = {}
     for arch in archs:
         cell, telemetry = run_pager_storm(
-            arch=arch, tasks=tasks, pages=pages, rounds=rounds,
-            seed=seed, keep_worst=keep_worst)
+            arch=arch, keep_worst=keep_worst, **shape)
         control, _ = run_pager_storm(
-            arch=arch, tasks=tasks, pages=pages, rounds=rounds,
-            seed=seed, keep_worst=keep_worst, serialize=True)
+            arch=arch, keep_worst=keep_worst, serialize=True, **shape)
         cell["serialized"] = {
             key: control[key]
             for key in ("p50_us", "p99_us", "p999_us", "max_us",
@@ -380,27 +385,12 @@ def run_storm_matrix(archs=None, quick: bool = False,
     per-stage breakdown), *telemetries* maps arch name to its
     :class:`FaultTelemetry` for trace export.
     """
-    shape = QUICK_LOAD if quick else FULL_LOAD
-    tasks = shape[0] if tasks is None else tasks
-    pages = shape[1] if pages is None else pages
-    rounds = shape[2] if rounds is None else rounds
-    if archs is None:
-        archs = list(QUICK_ARCHS) if quick else list(BENCH_ARCHS)
-    payload = {
-        "storm": "fault-tail-latency",
-        "quick": quick,
-        "seed": seed,
-        "tasks": tasks,
-        "pages": pages,
-        "rounds": rounds,
-        "archs": {},
-    }
+    archs, payload, shape = _open_matrix(
+        "fault-tail-latency", archs, quick, tasks, pages, rounds, seed)
     telemetries = {}
     for arch in archs:
-        report, telemetry = run_storm(arch=arch, tasks=tasks,
-                                      pages=pages, rounds=rounds,
-                                      seed=seed,
-                                      keep_worst=keep_worst)
+        report, telemetry = run_storm(arch=arch, keep_worst=keep_worst,
+                                      **shape)
         payload["archs"][arch] = report
         telemetries[arch] = telemetry
     return payload, telemetries

@@ -11,12 +11,14 @@ Commands:
 * ``fault-trace [--machine NAME]`` — narrate every step of a single
   copy-on-write fault, for teaching (including the event-bus span tree
   of the fault);
-* ``trace [--workload NAME] [--format {chrome,summary,spans}]
+* ``trace [--machine NAME] [--format {chrome,summary,spans}]
   [--quick] [--out FILE]`` — record a workload on the instrumentation
   bus (:mod:`repro.obs`) and export it: Chrome ``trace_event`` JSON
   (loadable in Perfetto / ``chrome://tracing``, one lane per simulated
-  CPU plus daemon/pager lanes), a derived-metrics summary, or the
-  nested span tree with a top-N self-time profile;
+  CPU plus daemon/pager lanes), a summary (the kernel's non-zero
+  ``KernelStats`` counters, the fault-latency and shadow-depth
+  distributions and a top-N self-time profile), or the nested span
+  tree with that profile;
 * ``storm [--arch NAME] [--tasks N] [--pages N] [--rounds N]
   [--seed N] [--pager] [--quick] [--json] [--out FILE]
   [--trace-out FILE]`` — the fault-storm load generator: ramp N
@@ -29,12 +31,12 @@ Commands:
   p99 loses to its own serialized control;
 * ``check [--lint-only] [--report FILE] [--no-cache]`` — run the
   static analyses over the source tree (MD/MI layering lint,
-  concurrency lint, and the five dataflow passes: resource lifecycle,
+  concurrency lint, and the six dataflow passes: resource lifecycle,
   pmap MI-contract conformance, error-path completeness, determinism,
-  interprocedural typestate), then the runtime invariant sweeps on
-  all five pmap architectures (see :mod:`repro.analysis`); results
-  are cached under ``.repro-cache/`` so unchanged modules are not
-  re-analyzed (``--no-cache`` disables); ``--report`` writes a
+  interprocedural typestate, atomicity), then the runtime invariant
+  sweeps on all five pmap architectures (see :mod:`repro.analysis`);
+  results are cached under ``.repro-cache/`` so unchanged modules are
+  not re-analyzed (``--no-cache`` disables); ``--report`` writes a
   versioned JSON report; a crashing analysis is reported as an
   analysis error, never as a clean tree;
 * ``faultsweep [--quick] [--seed N]`` — the fault-injection survival
@@ -231,11 +233,36 @@ def _trace_workload_demo(kernel, quick: bool) -> None:
     kernel.pageout_daemon.run()
 
 
+def _trace_summary(kernel: MachKernel, telemetry, events) -> str:
+    """The ``--format=summary`` header: the kernel's non-zero counters
+    (``KernelStats`` plus ``shootdowns``), then the fault-latency and
+    shadow-chain-depth distributions of the recorded faults."""
+    from repro.obs import Histogram
+
+    counters = dict(vars(kernel.stats),
+                    shootdowns=kernel.pmap_system.shootdowns)
+    lines = ["derived counters:"]
+    lines += [f"  {name:<20} {value}"
+              for name, value in sorted(counters.items()) if value]
+    if len(lines) == 1:
+        lines.append("  (none)")
+    depth = Histogram("shadow_chain_depth")
+    for event in events:
+        if (event.phase == "E" and event.name == "vm/fault"
+                and "depth" in event.data):
+            depth.record(event.data["depth"])
+    lines.append("distributions:")
+    lines += [f"  {histogram.summary()}"
+              for histogram in (telemetry.latency, depth)
+              if histogram.count]
+    return "\n".join(lines)
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     """``repro trace``: record a workload on the bus and export it."""
     from repro.obs import (
         EventRecorder,
-        MetricsRegistry,
+        FaultTelemetry,
         build_spans,
         chrome_trace_json,
         profile,
@@ -246,12 +273,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     spec = _resolve_machine(args.machine)
     kernel = MachKernel(spec)
     recorder = EventRecorder(kernel.events)
-    metrics = MetricsRegistry().attach(kernel)
+    telemetry = FaultTelemetry().attach(kernel)
     try:
         _trace_workload_demo(kernel, quick=args.quick)
     finally:
         recorder.detach()
-        metrics.detach()
+        telemetry.detach()
     events = recorder.events
 
     if args.format == "chrome":
@@ -265,7 +292,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         text = (render_spans(build_spans(events))
                 + "\n\n" + profile(events))
     else:
-        text = (metrics.summary() + "\n\n" + profile(events)
+        text = (_trace_summary(kernel, telemetry, events)
+                + "\n\n" + profile(events)
                 + f"\n\n{len(events)} events on the bus"
                 + (f" ({recorder.dropped} dropped)" if recorder.dropped
                    else ""))
@@ -683,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="record a workload on the instrumentation bus and "
-             "export it (Chrome trace / metrics summary / span tree)")
+             "export it (Chrome trace / counter summary / span tree)")
     trace.add_argument("--machine", default="VAX 11/784",
                        help="machine preset (default is a 4-CPU VAX "
                             "so the trace shows one lane per CPU)")
@@ -691,8 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
                                             "spans"],
                        default="chrome",
                        help="chrome: Perfetto-loadable trace_event "
-                            "JSON; summary: derived metrics + top-N "
-                            "profile; spans: the nested span tree")
+                            "JSON; summary: kernel counters, fault "
+                            "latency + top-N profile; spans: the "
+                            "nested span tree")
     trace.add_argument("--quick", action="store_true",
                        help="smaller workload (CI smoke)")
     trace.add_argument("--out", help="write to a file instead of "
@@ -795,7 +824,8 @@ def build_parser() -> argparse.ArgumentParser:
     races.add_argument("--explore", action="store_true",
                        help="bounded DFS over schedules of a small "
                             "shootdown workload instead of the storm")
-    races.add_argument("--max-schedules", type=int, default=150,
+    races.add_argument("--max-schedules", type=_positive_int,
+                       default=150,
                        help="schedule budget for --explore")
     races.add_argument("--jobs", type=_positive_int, default=None,
                        help="run arch x strategy storm cells in N "

@@ -82,8 +82,8 @@ class MachKernel:
         self.machine = Machine(spec, page_size)
         #: The machine-wide instrumentation bus (alias of
         #: ``machine.events``); every subsystem emits here and every
-        #: observer (tracer, metrics registry, race detector)
-        #: subscribes here.
+        #: observer (event recorder, race detector, fault telemetry)
+        #: attaches here.
         self.events = self.machine.events
         self.pmap_system = PmapSystem(self.machine, shootdown)
         resident = ResidentPageTable(self.machine.physmem)

@@ -8,15 +8,13 @@ from dataclasses import dataclass
 class KernelStats:
     """Mutable event counters accumulated by the kernel.
 
-    The core counters are independently *derivable* from the
-    instrumentation bus: :class:`repro.obs.MetricsRegistry` recomputes
-    ``faults``, ``cow_faults``, ``zero_fill_count``, ``pageins``,
-    ``pageouts``, ``reactivations``, ``messages_sent``,
-    ``messages_received``, ``tasks_created`` and ``tasks_terminated``
-    purely from ``kernel.events``, and ``tests/test_obs.py`` holds the
-    two equal.  These fields stay authoritative (they are what
-    ``vm_statistics`` reports); the bus derivation is the cross-check
-    that catches an emit site drifting from its counter.
+    The one counter source: ``vm_statistics``, ``repro trace`` and the
+    benchmarks all read these fields, on every run, whether or not
+    anything listens on the instrumentation bus.  ``tests/test_obs.py``
+    keeps an emit-site oracle: it counts the ``vm/fault``, ``vm/cow``,
+    ``ipc/send``, ... events of a recorded workload and checks that
+    they match these fields, which catches an emit site drifting from
+    its counter.
     """
 
     def __init__(self) -> None:

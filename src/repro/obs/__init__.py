@@ -1,11 +1,13 @@
 """repro.obs — the unified instrumentation bus.
 
-One event API for tracing, metrics and profiling: every subsystem
-emits typed :class:`Event` records into the machine's
-:class:`EventBus`; observers (the :class:`MetricsRegistry`, the
-legacy-compatible :class:`~repro.trace.KernelTracer`, the race
-detector, the Chrome-trace exporter) subscribe instead of patching
-entry points.
+One event API for tracing and profiling: every subsystem emits typed
+:class:`Event` records into the machine's :class:`EventBus`.  Each
+observation has one source: the :class:`EventRecorder` is the event
+log (with :func:`build_spans`, :func:`profile` and the Chrome-trace
+exporter over it), :class:`FaultTelemetry` the fault latency with
+per-stage attribution, and the kernel's ``KernelStats`` (plus
+``pmap_system.shootdowns``) the counters — nothing here derives a
+counter from events.
 
 The package is intentionally dependency-free (standard library only):
 ``repro.obs.bus`` is the one module the hardware substrate and the
@@ -17,7 +19,7 @@ Trace-producing workloads therefore live in :mod:`repro.cli`.
 from repro.obs.bus import Event, EventBus, EventRecorder
 from repro.obs.export import (chrome_trace, chrome_trace_json,
                               validate_chrome_trace)
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry
+from repro.obs.metrics import Histogram
 from repro.obs.spans import Span, build_spans, profile, render_spans
 from repro.obs.telemetry import (STAGES, FaultTelemetry,
                                  format_latency_report)
@@ -26,9 +28,7 @@ __all__ = [
     "Event",
     "EventBus",
     "EventRecorder",
-    "Counter",
     "Histogram",
-    "MetricsRegistry",
     "FaultTelemetry",
     "STAGES",
     "format_latency_report",

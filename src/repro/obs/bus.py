@@ -6,8 +6,9 @@ is doing through one :class:`EventBus` owned by the machine: spans
 with a payload (:meth:`~EventBus.span`), the payload-free span of one
 fault-pipeline stage (:meth:`~EventBus.stage`, one reusable object per
 bus and stage), and instants (:meth:`~EventBus.emit`).  Subscribers
-(:mod:`repro.trace`, the race detector, the metrics registry, the
-recorder) are plain callables that get every :class:`Event`.
+(the :class:`EventRecorder`, which is the one event log, and the race
+detector) are plain callables that get every :class:`Event`.  Nothing
+here counts: the kernel's ``KernelStats`` is the one counter source.
 
 Fault telemetry is not a subscriber.  While a
 :class:`~repro.obs.telemetry.FaultTelemetry` is attached, the bus keeps

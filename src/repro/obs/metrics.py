@@ -1,12 +1,11 @@
-"""Metrics derived from bus events: counters and histograms.
+"""Bounded log-bucket histograms for recorded distributions.
 
-:class:`MetricsRegistry` subscribes to an :class:`~repro.obs.bus.EventBus`
-and maintains counters with the same names as the hand-bumped
-:class:`~repro.core.statistics.KernelStats` fields, *derived* from the
-event stream — plus distributions the flat counters cannot express
-(fault latency, shadow-chain depth).  A consistency test asserts the
-derived counts equal the legacy fields on the demo workload, which is
-what lets future PRs trust the bus as the single source of truth.
+:class:`Histogram` is the one distribution type of :mod:`repro.obs`:
+:class:`~repro.obs.telemetry.FaultTelemetry` fills its fault-latency
+and per-stage histograms with it, and ``repro trace`` its
+shadow-chain-depth digest.  Counters are not kept here: the kernel's
+:class:`~repro.core.statistics.KernelStats` (the ``vm_statistics``
+counters) and ``pmap_system.shootdowns`` are their one source.
 
 Standard library only — see the module docstring of
 :mod:`repro.obs.bus`.
@@ -14,25 +13,9 @@ Standard library only — see the module docstring of
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Dict
 
-__all__ = ["Counter", "Histogram", "MetricsRegistry"]
-
-
-class Counter:
-    """A monotonically increasing count of one event kind."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def increment(self, by: int = 1) -> None:
-        self.value += by
-
-    def __repr__(self) -> str:
-        return f"Counter({self.name}={self.value})"
+__all__ = ["Histogram"]
 
 
 #: Log-bucket geometry: 2**_SUB_BITS linear sub-buckets per power of
@@ -181,135 +164,3 @@ class Histogram:
 
     def __repr__(self) -> str:
         return f"Histogram({self.name}, n={self.count})"
-
-
-#: event name -> derived counter name (mirrors KernelStats fields).
-_COUNTER_MAP = {
-    "vm/fault": "faults",
-    "vm/cow": "cow_faults",
-    "vm/zero_fill": "zero_fill_count",
-    "vm/pagein": "pageins",
-    "pageout/laundered": "pageouts",
-    "pageout/reactivate": "reactivations",
-    "pmap/shootdown": "shootdowns",
-    "ipc/send": "messages_sent",
-    "ipc/receive": "messages_received",
-    "task/create": "tasks_created",
-    "task/terminate": "tasks_terminated",
-}
-
-
-class MetricsRegistry:
-    """Counters and histograms fed by the event bus.
-
-    Not attached by default — the bus stays subscriber-free (and the
-    fault path allocation-free) until someone calls :meth:`attach` with
-    the bus or any object carrying an ``events`` bus attribute (a
-    kernel or a machine)::
-
-        registry = MetricsRegistry().attach(kernel)
-        ... workload ...
-        assert registry.derived()["faults"] == kernel.stats.faults
-    """
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, Counter] = {}
-        self.histograms: Dict[str, Histogram] = {}
-        self._bus: Optional[Any] = None
-        # fault B timestamps per CPU: faults are synchronous on their
-        # CPU, so a per-CPU stack pairs B with its matching E even if a
-        # pager-driven fault nests inside another fault's span.
-        self._open_faults: Dict[int, List[float]] = {}
-        self.histogram("fault_latency_us", unit="us")
-        self.histogram("shadow_chain_depth")
-        for name in _COUNTER_MAP.values():
-            self.counter(name)
-        self.counter("fault_errors")
-
-    # -- registry ----------------------------------------------------
-
-    def counter(self, name: str) -> Counter:
-        """The counter called *name*, created on first use."""
-        counter = self.counters.get(name)
-        if counter is None:
-            counter = self.counters[name] = Counter(name)
-        return counter
-
-    def histogram(self, name: str, unit: str = "") -> Histogram:
-        """The histogram called *name*, created on first use."""
-        histogram = self.histograms.get(name)
-        if histogram is None:
-            histogram = self.histograms[name] = Histogram(name, unit)
-        return histogram
-
-    def derived(self) -> Dict[str, int]:
-        """Counter values keyed by their KernelStats-compatible names."""
-        return {name: c.value for name, c in self.counters.items()}
-
-    # -- subscription ------------------------------------------------
-
-    def attach(self, bus: Any) -> "MetricsRegistry":
-        """Subscribe to *bus* (or to ``bus.events`` when given a kernel
-        or machine)."""
-        bus = getattr(bus, "events", bus)
-        if self._bus is not None:
-            self.detach()
-        self._bus = bus
-        bus.subscribe(self._on_event)
-        return self
-
-    def detach(self) -> None:
-        if self._bus is not None:
-            self._bus.unsubscribe(self._on_event)
-            self._bus = None
-
-    def __enter__(self) -> "MetricsRegistry":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        self.detach()
-        return False
-
-    # -- event handling ----------------------------------------------
-
-    def _on_event(self, event: Any) -> None:
-        name = f"{event.subsystem}/{event.kind}"
-        if name == "vm/fault":
-            if event.phase == "B":
-                self.counter("faults").increment()
-                self._open_faults.setdefault(event.cpu, []).append(event.ts_us)
-            elif event.phase == "E":
-                stack = self._open_faults.get(event.cpu)
-                if stack:
-                    begin = stack.pop()
-                    self.histogram("fault_latency_us").record(
-                        event.ts_us - begin)
-                depth = event.data.get("depth")
-                if depth is not None:
-                    self.histogram("shadow_chain_depth").record(depth)
-                if event.data.get("error"):
-                    self.counter("fault_errors").increment()
-            return
-        if event.phase == "E":
-            return  # spans are counted once, at B (or as instants)
-        counter_name = _COUNTER_MAP.get(name)
-        if counter_name is not None:
-            self.counter(counter_name).increment()
-
-    # -- reporting ---------------------------------------------------
-
-    def summary(self) -> str:
-        """A text report: non-zero counters then histogram digests."""
-        lines = ["derived counters:"]
-        for name in sorted(self.counters):
-            value = self.counters[name].value
-            if value:
-                lines.append(f"  {name:<20} {value}")
-        if len(lines) == 1:
-            lines.append("  (none)")
-        lines.append("distributions:")
-        for name in sorted(self.histograms):
-            histogram = self.histograms[name]
-            if histogram.count:
-                lines.append(f"  {histogram.summary()}")
-        return "\n".join(lines)

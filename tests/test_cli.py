@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.core.kernel import MachKernel
 
 
 class TestParser:
@@ -33,11 +35,18 @@ class TestParser:
         args = build_parser().parse_args(["races", "--seed", seed])
         assert args.seed == int(seed, 0)
 
-    @pytest.mark.parametrize("command", ["check", "faultsweep", "races"])
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
-    def test_jobs_below_one_exits_2(self, command, jobs, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["check", "--jobs"], id="check"),
+        pytest.param(["faultsweep", "--jobs"], id="faultsweep"),
+        pytest.param(["races", "--jobs"], id="races"),
+        # a zero budget would explore nothing and still report clean
+        pytest.param(["races", "--explore", "--max-schedules"],
+                     id="races-max-schedules"),
+    ])
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, argv, count, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main([command, "--jobs", jobs])
+            main(argv + [count])
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
@@ -77,6 +86,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "zero-fill fault" in out
         assert "shadow created: True" in out
+
+    def test_trace_summary_counters_are_the_kernels(self, capsys,
+                                                   monkeypatch):
+        """Every counter line of ``trace --format=summary`` is a
+        ``KernelStats`` field (or ``pmap_system.shootdowns``) of the
+        traced kernel, and every non-zero one is printed."""
+        kernels = []
+
+        def traced_kernel(spec):
+            kernels.append(MachKernel(spec))
+            return kernels[-1]
+
+        monkeypatch.setattr(cli, "MachKernel", traced_kernel)
+        assert main(["trace", "--quick", "--format=summary"]) == 0
+        out = capsys.readouterr().out
+        header, _, rest = out.partition("distributions:\n")
+        printed = {name: int(value) for name, value in
+                   (line.split() for line in header.splitlines()[1:])}
+        kernel, = kernels
+        expected = dict(vars(kernel.stats),
+                        shootdowns=kernel.pmap_system.shootdowns)
+        assert printed == {name: value for name, value in
+                           expected.items() if value}
+        assert {"faults", "cow_faults", "shootdowns"} <= set(printed)
+        assert rest.startswith("  fault_latency_us: n=")
+        assert "\n  shadow_chain_depth: n=" in rest
 
     def test_bench_quick(self, capsys):
         assert main(["bench", "--table", "7-2", "--quick"]) == 0

@@ -4,9 +4,10 @@ Four contracts from the observability redesign:
 
 * the fault path allocates **zero** event objects while nobody is
   subscribed (the bus is pay-for-what-you-trace);
-* the metrics registry's counters, *derived* purely from bus events,
-  equal the kernel's hand-bumped :class:`KernelStats` fields — so the
-  bus can be trusted as an independent cross-check;
+* counts of bus events, taken from a recorded stream by a test-only
+  oracle, equal the kernel's :class:`KernelStats` fields (and
+  ``pmap_system.shootdowns``) — so an emit site cannot drift from the
+  counter it mirrors;
 * the Chrome-trace exporter emits well-formed trace_event JSON with
   one lane per simulated CPU and properly nested
   fault → pager → disk spans;
@@ -28,7 +29,6 @@ from repro.ipc.port import Port
 from repro.obs import (
     EventBus,
     EventRecorder,
-    MetricsRegistry,
     build_spans,
     chrome_trace_json,
     profile,
@@ -161,21 +161,48 @@ class TestZeroAllocation:
 
 
 # ---------------------------------------------------------------------
-# Derived metrics vs. the hand-bumped KernelStats
+# The emit-site oracle: recorded events vs. KernelStats
 # ---------------------------------------------------------------------
+
+#: event name -> the counter its emit site mirrors: a ``KernelStats``
+#: field, or ``shootdowns`` for ``pmap_system.shootdowns``.
+EMIT_COUNTERS = {
+    "vm/fault": "faults",
+    "vm/cow": "cow_faults",
+    "vm/zero_fill": "zero_fill_count",
+    "vm/pagein": "pageins",
+    "pageout/laundered": "pageouts",
+    "pageout/reactivate": "reactivations",
+    "ipc/send": "messages_sent",
+    "ipc/receive": "messages_received",
+    "task/create": "tasks_created",
+    "task/terminate": "tasks_terminated",
+    "pmap/shootdown": "shootdowns",
+}
+
+
+def count_emits(events):
+    """The emit-site oracle: counts of a recorded stream keyed by the
+    counters they mirror, a span counted once at its begin."""
+    counts = dict.fromkeys(EMIT_COUNTERS.values(), 0)
+    for event in events:
+        field = EMIT_COUNTERS.get(event.name)
+        if field is not None and event.phase != "E":
+            counts[field] += 1
+    return counts
+
 
 class TestMetricsConsistency:
 
-    #: KernelStats fields the registry derives independently from events.
-    FIELDS = ("faults", "cow_faults", "zero_fill_count", "pageins",
-              "pageouts", "reactivations", "messages_sent",
-              "messages_received", "tasks_created", "tasks_terminated")
-
     def test_derived_counters_equal_kernel_stats(self, tiny_kernel):
         kernel = tiny_kernel
-        before = {f: getattr(kernel.stats, f) for f in self.FIELDS}
-        metrics = MetricsRegistry().attach(kernel)
-        try:
+
+        def counters():
+            return dict(vars(kernel.stats),
+                        shootdowns=kernel.pmap_system.shootdowns)
+
+        before = counters()
+        with EventRecorder(kernel.events) as recorder:
             parent = kernel.task_create(name="parent")
             addr = parent.vm_allocate(16 * kernel.page_size)
             for i in range(16):
@@ -192,20 +219,18 @@ class TestMetricsConsistency:
             for i in range(16):
                 parent.read(addr + i * kernel.page_size, 1)
             child.terminate()
-        finally:
-            metrics.detach()
-        derived = metrics.derived()
-        for field in self.FIELDS:
-            actual = getattr(kernel.stats, field) - before[field]
-            assert derived[field] == actual, (
-                f"derived {field}={derived[field]} but KernelStats "
+        assert recorder.dropped == 0
+        derived = count_emits(recorder.events)
+        after = counters()
+        for field, count in derived.items():
+            actual = after[field] - before[field]
+            assert count == actual, (
+                f"{count} events for {field} but the kernel's counter "
                 f"advanced by {actual}")
         # the workload must actually exercise the counters it checks
         for field in ("faults", "cow_faults", "pageins", "pageouts",
-                      "messages_sent"):
+                      "messages_sent", "shootdowns"):
             assert derived[field] > 0, f"workload produced no {field}"
-        assert metrics.histograms["fault_latency_us"].count > 0
-        assert "derived counters:" in metrics.summary()
 
 
 # ---------------------------------------------------------------------
