@@ -20,9 +20,10 @@
   dataflow framework (exception edges, yield points, the one
   thread-body and yield-primitive rule, forward worklist solver)
   shared by the flow passes;
-* :mod:`repro.analysis.lifecycle` — resource acquire/release pairing
-  along all paths (swap slots, vm_object references, resident pages,
-  holding maps, port rights);
+* :mod:`repro.analysis.typestate` — the one ownership engine, reported
+  as two passes: ``lifecycle`` (acquire/release pairing of swap slots,
+  vm_object references, resident pages, holding maps and port rights)
+  and ``typestate`` (page, object, map-entry and shootdown protocols);
 * :mod:`repro.analysis.conformance` — pmap MI-contract verifier over
   the live registry (coverage, signatures, TLB invalidation,
   reach-around imports);

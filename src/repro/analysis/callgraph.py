@@ -21,10 +21,10 @@ supplies the missing layer:
   a fixpoint so recursion (and mutual recursion) converges.
 
 Consumers: :mod:`repro.analysis.typestate` supplies the ``local``
-analysis and checks protocol rules with the results;
-:mod:`repro.analysis.lifecycle` and :mod:`repro.analysis.errorpaths`
-replace their per-function ownership-handoff special cases with
-summary lookups at call sites.
+analysis and checks both of its rule groups (ownership pairing and the
+protocols) with the results; :mod:`repro.analysis.errorpaths` and the
+``atomicity`` pass in :mod:`repro.analysis.race` look summaries up at
+call sites.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Statement-level control-flow graphs for the dataflow passes.
 
-The flow passes (:mod:`repro.analysis.lifecycle` and friends) need to
+The flow passes (:mod:`repro.analysis.typestate` and friends) need to
 reason about *paths* — "the slot popped on line 49 never reaches the
 free list on the exception path" — which a flat AST walk cannot do.
 This module turns one Python function body into a small CFG:

@@ -4,9 +4,9 @@ The paper's portability claim is a contract (Section 3.6, Tables 3-3
 and 3-4): a port supplies one pmap module behind the machine-
 independent interface, the pmap "may forget, but never lie", and every
 mapping mutation must become visible to all TLBs.  This pass makes
-that contract checkable *statically*, so the post-1987 pmaps planned
-in ROADMAP item 4 (Utopia, VBI, radix) are verified the moment they
-call :func:`repro.pmap.registry.register_pmap`.
+that contract checkable *statically*: any new pmap (modern-MMU designs
+are parked) is verified the moment it calls
+:func:`repro.pmap.registry.register_pmap`.
 
 The pager side (Section 3.3, Tables 3-1 and 3-2) has the same shape
 since protocol v2: every pager registered through

@@ -1,10 +1,10 @@
 """Dataflow pass framework: findings, solver, baseline, runner.
 
-This is the shared machinery behind the six flow passes
-(:mod:`~repro.analysis.lifecycle`, :mod:`~repro.analysis.conformance`,
+This is the shared machinery behind the six flow passes: the
+``lifecycle`` and ``typestate`` rule groups of the one ownership engine
+in :mod:`~repro.analysis.typestate`, :mod:`~repro.analysis.conformance`,
 :mod:`~repro.analysis.errorpaths`, :mod:`~repro.analysis.determinism`,
-:mod:`~repro.analysis.typestate`, and the ``atomicity`` pass in
-:mod:`~repro.analysis.race`):
+and the ``atomicity`` pass in :mod:`~repro.analysis.race`:
 
 * :class:`Finding` — one diagnosed problem, printable in the same
   ``module:line: [rule] message`` shape as the layering lint's
@@ -271,13 +271,20 @@ class _ModulePass:
 def _module_pass_registry() -> dict[str, _ModulePass]:
     # Imported lazily so a crash importing one pass is reported as an
     # AnalysisError for that pass, not an ImportError killing check.
-    from repro.analysis import determinism, errorpaths, lifecycle
-    from repro.analysis import race, typestate
-    return {
-        "lifecycle": _ModulePass(
-            lifecycle.PASS_VERSION, lifecycle.in_scope,
+    from repro.analysis import determinism, errorpaths, race, typestate
+
+    def ownership(group: str) -> _ModulePass:
+        # A rule group of the one ownership engine: its own scope, and
+        # one engine run per module serves both groups.
+        return _ModulePass(
+            typestate.PASS_VERSION,
+            lambda module, package: typestate.in_scope(module, package,
+                                                       group),
             lambda module, tree, lines, ctx:
-                lifecycle.check_module(module, tree, ctx)),
+                typestate.check_group(group, module, tree, ctx))
+
+    return {
+        "lifecycle": ownership("lifecycle"),
         "errorpaths": _ModulePass(
             errorpaths.PASS_VERSION, errorpaths.in_scope,
             lambda module, tree, lines, ctx:
@@ -286,10 +293,7 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
             determinism.PASS_VERSION, determinism.in_scope,
             lambda module, tree, lines, ctx:
                 determinism.check_module(module, tree)),
-        "typestate": _ModulePass(
-            typestate.PASS_VERSION, typestate.in_scope,
-            lambda module, tree, lines, ctx:
-                typestate.check_module(module, tree, ctx)),
+        "typestate": ownership("typestate"),
         "atomicity": _ModulePass(
             race.ATOMICITY_VERSION, race.atomicity_in_scope,
             lambda module, tree, lines, ctx:
@@ -430,12 +434,14 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
-    module_names = tuple(n for n in names if n in registry)
     for name in names:
         if name not in registry and name != "conformance":
             report.errors.append(AnalysisError(
                 name, f"unknown pass (known: "
                       f"{sorted(registry) + ['conformance']})"))
+    if report.errors:
+        return report
+    module_names = tuple(n for n in names if n in registry)
 
     # Read every source once: the tree digest, the parse, the lines and
     # the per-module keys all come from this one string per module.

@@ -1,43 +1,57 @@
-"""Interprocedural typestate pass: declarative VM protocol specs.
+"""Ownership and typestate: one interprocedural engine, two rule groups.
 
-The paper's machine-independent layer works because every component
-honors unwritten protocols: a page cycles free→active→inactive→
-laundering→free and is never touched once freed; a ``vm_object``
-reference obtained from the manager is dead after ``deallocate``; a
-map entry unlinked from its map must not re-enter map structure
-operations; and a pmap mutation that skipped its TLB shootdown
-(``remove(..., shoot=False)``) owes one before the next yield.  The
-PR 6 flow passes cannot see a violation that spans a call — a helper
-that frees a page its caller still touches looks clean to both
-functions in isolation.
+The paper's machine-independent layer works because the kernel owns
+pages, object references and map entries under strict rules: a page
+cycles free→active→inactive→laundering→free and is never touched once
+freed; a ``vm_object`` reference is dead after ``deallocate``; a swap
+slot popped off a free list goes back on it or into the store; an
+unlinked map entry must not re-enter map structure operations; and a
+pmap mutated with ``remove(..., shoot=False)`` owes a TLB shootdown
+before the next yield.
 
-This pass closes that hole.  Protocols are declarative
-:class:`ProtocolSpec` tables (states, transitions, violations); the
-checker runs each function's CFG through the shared forward solver
-(:func:`repro.analysis.flow.solve_forward`), applying protocol
-*operations* classified from call sites.  Calls resolved by the call
-graph apply the callee's :class:`~repro.analysis.callgraph.Summary` —
-the parameter states the callee definitely establishes by exit —
-computed bottom-up over SCCs by
-:func:`~repro.analysis.callgraph.compute_summaries`, so a protocol
-violation split across any number of calls is still caught.  Joining
-paths that disagree yields an unknown state that is deliberately not
-reported (same noise discipline as the lifecycle pass).
+Each resource kind is a :class:`ProtocolSpec` row: states,
+transitions, violations, and the states in which a resource acquired
+in the function is still owed a release.  One engine, with one fact
+type, one join and one transfer function, runs each function's CFG
+through :func:`repro.analysis.flow.solve_forward`, applying protocol
+*operations* classified from call sites.  Resolved calls apply the
+callee's :class:`~repro.analysis.callgraph.Summary` (computed
+bottom-up over SCCs by
+:func:`~repro.analysis.callgraph.compute_summaries`), so a violation
+split across calls — a helper that frees a page its caller still
+touches — is still caught.  Paths that disagree join to an unknown
+state, which is never reported; only a resource still owed on one path
+survives a one-sided join, so a conditional acquire can still leak.
 
-Shipped rules (each has a known-bad fixture in
-``tests/data/flow_fixtures/``):
+One check-mode solve per function reports two rule groups, each under
+its own flow pass name and scope:
+
+``lifecycle`` (the whole package) — acquire/release pairing:
+
+* ``leak-on-exception-path`` — a free-pool slot, busy resident page,
+  vm_object reference, holding map or port acquired here is still owed
+  when an exception can unwind the function;
+* ``leak-on-return`` — a free-pool slot still owed at a normal exit
+  (long-lived kinds routinely outlive their creating function);
+* ``double-release`` — a slot, a wiring or a holder released twice.
+
+``typestate`` (the simulated kernel, not the tooling), each rule with
+a known-bad fixture in ``tests/data/flow_fixtures/``:
 
 * ``page-use-after-free`` / ``page-double-free`` /
-  ``page-free-while-wired`` — the resident-page lifecycle;
-* ``object-use-after-deallocate`` / ``object-double-deallocate`` —
-  the vm_object reference protocol;
-* ``entry-use-after-unlink`` — map entries re-entering map structure
-  ops (or being written) after ``_unlink``; teardown *reads* of an
-  unlinked entry are the sanctioned pattern and stay legal;
-* ``shootdown-before-yield`` — a pmap left TLB-dirty by
-  ``remove(..., shoot=False)`` (directly or via a callee that always
-  exits dirty) crossing a yield point before the covering
-  ``system.shootdown(...)`` / ``system.update()``.
+  ``page-free-while-wired``;
+* ``object-use-after-deallocate`` / ``object-double-deallocate``;
+* ``entry-use-after-unlink`` — a structure op on, or a write to, an
+  unlinked entry (teardown *reads* stay legal);
+* ``shootdown-before-yield`` — a TLB-dirty pmap (directly or via a
+  callee that always exits dirty) crossing a yield point before the
+  covering ``system.shootdown(...)`` / ``system.update()``.
+
+Ownership ends where a resource is handed off: stored into an
+attribute, subscript or container, passed to a constructor or to
+``allocate(vm_object=...)``, returned, yielded or aliased.  A plain
+call argument is a *borrow* (what catches a holding map dropped when
+``copy_region`` raises mid-send).
 """
 
 from __future__ import annotations
@@ -55,15 +69,21 @@ from repro.analysis.cfg import EXC_EXIT, EXIT, CFGNode, build_cfg, \
 from repro.analysis.flow import Finding, solve_forward
 from repro.analysis.layering import _strip
 
-PASS_NAME = "typestate"
+#: The two rule groups, each reported under its flow pass name.
+LIFECYCLE, TYPESTATE = "lifecycle", "typestate"
 
-#: Bumped when the pass logic changes: part of every cache key, so a
-#: new rule invalidates stale cached results.
-PASS_VERSION = "3"
+#: Rules reported under the lifecycle pass; every other is typestate's.
+LIFECYCLE_RULES = frozenset({"leak-on-exception-path", "leak-on-return",
+                             "double-release"})
 
-#: Top-level repro subpackages outside the simulated kernel: protocol
-#: ops never originate there, and analysis tooling talking *about*
-#: pages must not be held to the page protocol.
+#: Bumped when the engine changes: part of both groups' cache keys, so
+#: a new rule invalidates stale cached results.
+PASS_VERSION = "4"
+
+#: Top-level repro subpackages outside the simulated kernel, which the
+#: typestate group skips: protocol ops never originate there, and
+#: analysis tooling talking *about* pages must not be held to the page
+#: protocol.  Lifecycle pairing applies to the whole package.
 EXEMPT = ("analysis", "bench", "cli", "viz", "__main__")
 
 TOP = "<top>"
@@ -73,7 +93,8 @@ TOP = "<top>"
 
 @dataclass(frozen=True)
 class ProtocolSpec:
-    """One protocol: states, transitions, and what counts as a crime.
+    """One resource kind: states, transitions, and what counts as a
+    crime.
 
     ``track_on`` starts tracking an untracked variable when an op hits
     it (``resident.free(p)`` proves ``p`` is a page, now ``free``);
@@ -82,11 +103,13 @@ class ProtocolSpec:
     degrades to unknown, which is never reported.  ``op_for_state``
     translates a callee's must-exit state back into the op applied at
     the call site, so interprocedural effects run through the same
-    violation tables as direct calls.
+    violation tables as direct calls.  ``held`` names the states in
+    which a resource acquired in the function is still owed a release
+    or hand-off; ``leak_on_return`` judges normal exits too.
     """
 
     name: str
-    kind: str                                  # lifecycle resource kind
+    kind: str                                  # resource kind, as reported
     track_on: dict = field(default_factory=dict)
     transitions: dict = field(default_factory=dict)
     violations: dict = field(default_factory=dict)
@@ -95,6 +118,8 @@ class ProtocolSpec:
     use_writes_only: bool = False
     op_for_state: dict = field(default_factory=dict)
     yield_hazard: tuple = ()                   # (state, rule, message)
+    held: frozenset = frozenset()
+    leak_on_return: bool = False
 
 
 _UAF = ("page-use-after-free",
@@ -102,24 +127,26 @@ _UAF = ("page-use-after-free",
         "freed page belongs to the free pool and may be reallocated "
         "under you")
 
+_DOUBLE_RELEASE = ("double-release",
+                   "{var!r} ({kind}) released again; already released "
+                   "on line {line}")
+
+#: Page states a queue op may move on from: fresh (busy), queued, or
+#: with this function's wiring dropped (unwired).
+_PAGE_MOVABLE = ("busy", "active", "inactive", "unwired")
+
 PAGE_PROTOCOL = ProtocolSpec(
     name="page", kind="resident-page",
     track_on={"page-free": "free", "page-wire": "wired",
-              "page-activate": "active", "page-deactivate": "inactive"},
+              "page-activate": "active", "page-deactivate": "inactive",
+              "page-unwire": "unwired"},
     transitions={
-        ("page-activate", "busy"): "active",
-        ("page-activate", "active"): "active",
-        ("page-activate", "inactive"): "active",
-        ("page-deactivate", "busy"): "inactive",
-        ("page-deactivate", "active"): "inactive",
-        ("page-deactivate", "inactive"): "inactive",
-        ("page-wire", "busy"): "wired",
-        ("page-wire", "active"): "wired",
-        ("page-wire", "inactive"): "wired",
-        ("page-wire", "wired"): "wired",
-        ("page-free", "busy"): "free",
-        ("page-free", "active"): "free",
-        ("page-free", "inactive"): "free",
+        **{("page-activate", st): "active" for st in _PAGE_MOVABLE},
+        **{("page-deactivate", st): "inactive" for st in _PAGE_MOVABLE},
+        **{("page-wire", st): "wired"
+           for st in _PAGE_MOVABLE + ("wired",)},
+        **{("page-free", st): "free" for st in _PAGE_MOVABLE},
+        ("page-unwire", "wired"): "unwired",
     },
     violations={
         ("page-free", "free"): (
@@ -129,6 +156,7 @@ PAGE_PROTOCOL = ProtocolSpec(
             "page-free-while-wired",
             "page {var!r} wired on line {line} is freed here without "
             "an unwire; ResidentPageTable.free refuses wired pages"),
+        ("page-unwire", "unwired"): _DOUBLE_RELEASE,
         ("page-activate", "free"): _UAF,
         ("page-deactivate", "free"): _UAF,
         ("page-wire", "free"): _UAF,
@@ -138,7 +166,11 @@ PAGE_PROTOCOL = ProtocolSpec(
     dead_states=frozenset({"free"}),
     use_rule=_UAF,
     op_for_state={"free": "page-free", "active": "page-activate",
-                  "inactive": "page-deactivate", "wired": "page-wire"},
+                  "inactive": "page-deactivate", "wired": "page-wire",
+                  "unwired": "page-unwire"},
+    # Off every queue until activated, wired or freed: an exception in
+    # that window strands the frame.
+    held=frozenset({"busy"}),
 )
 
 _UAD = ("object-use-after-deallocate",
@@ -164,6 +196,7 @@ OBJECT_PROTOCOL = ProtocolSpec(
     use_rule=_UAD,
     op_for_state={"deallocated": "obj-deallocate",
                   "live": "obj-reference"},
+    held=frozenset({"live"}),
 )
 
 ENTRY_PROTOCOL = ProtocolSpec(
@@ -202,25 +235,47 @@ PMAP_PROTOCOL = ProtocolSpec(
         "shootdown; another processor can observe the stale TLB entry"),
 )
 
+SLOT_PROTOCOL = ProtocolSpec(
+    name="slot", kind="free-pool-slot",
+    track_on={"slot-release": "released"},
+    transitions={("slot-release", "held"): "released"},
+    violations={("slot-release", "released"): _DOUBLE_RELEASE},
+    op_for_state={"released": "slot-release"},
+    held=frozenset({"held"}), leak_on_return=True,
+)
+
+
+def _holder(name: str, kind: str, track: bool = False) -> ProtocolSpec:
+    """A resource released by its own ``destroy()``; *track* starts
+    tracking an untracked name on a destroy (two are a double release)."""
+    return ProtocolSpec(
+        name=name, kind=kind,
+        track_on={"destroy": "destroyed"} if track else {},
+        transitions={("destroy", "held"): "destroyed"},
+        violations={("destroy", "destroyed"): _DOUBLE_RELEASE},
+        op_for_state={"destroyed": "destroy"},
+        held=frozenset({"held"}))
+
+
 PROTOCOLS: dict[str, ProtocolSpec] = {
     spec.name: spec for spec in (
-        PAGE_PROTOCOL, OBJECT_PROTOCOL, ENTRY_PROTOCOL, PMAP_PROTOCOL)
+        PAGE_PROTOCOL, OBJECT_PROTOCOL, ENTRY_PROTOCOL, PMAP_PROTOCOL,
+        SLOT_PROTOCOL, _holder("map", "holding-map"),
+        _holder("port", "port-right"),
+        _holder("destroyable", "destroyable", track=True))
 }
 
+#: spec name -> every op the spec knows; any other op degrades a fact
+#: of that spec to unknown.
+_KNOWN_OPS = {
+    spec.name: frozenset(spec.track_on)
+    | {op for op, _state in list(spec.transitions) + list(spec.violations)}
+    for spec in PROTOCOLS.values()
+}
 
-def _op_proto_table() -> dict[str, ProtocolSpec]:
-    table: dict[str, ProtocolSpec] = {}
-    for spec in PROTOCOLS.values():
-        for op in spec.track_on:
-            table[op] = spec
-        for op, _state in list(spec.transitions) + list(spec.violations):
-            table[op] = spec
-    table["pmap-shoot-all"] = PMAP_PROTOCOL
-    return table
-
-
-#: op name -> owning protocol spec
-_OP_PROTO = _op_proto_table()
+#: op name -> the spec an untracked variable starts under when hit
+_TRACKED_BY = {op: spec for spec in PROTOCOLS.values()
+               for op in spec.track_on}
 
 
 # -- op classification ------------------------------------------------------
@@ -231,8 +286,13 @@ _PAGE_OPS = {"free": "page-free", "activate": "page-activate",
              "unwire": "page-unwire", "insert": "page-touch",
              "remove": "page-touch", "rename": "page-touch"}
 
+#: Method names that store their arguments somewhere (ownership moves).
 _ESCAPING_METHODS = {"append", "add", "insert", "setdefault", "put",
                      "push", "register", "extend", "appendleft"}
+
+#: ``x = Name(...)`` constructions whose result is an owned resource.
+_CONSTRUCTED = {"AddressMap": ("map", "held"), "Port": ("port", "held"),
+                "VMObject": ("vmobject", "live")}
 
 
 @dataclass(frozen=True)
@@ -250,25 +310,44 @@ def _const_false(call: ast.Call, kwarg: str) -> bool:
     return False
 
 
-def classify_call(call: ast.Call, cls: Optional[str]) -> list[_Op]:
-    """Protocol ops a call applies directly to named local variables."""
+def _name_args(call: ast.Call) -> list[str]:
+    return [a.id for a in call.args if isinstance(a, ast.Name)] + \
+        [kw.value.id for kw in call.keywords
+         if isinstance(kw.value, ast.Name)]
+
+
+def classify_call(call: ast.Call,
+                  cls: Optional[str]) -> tuple[list[_Op], list[str]]:
+    """``(ops, handed)`` for one call: the protocol ops it applies
+    directly to named local variables, and the names whose ownership
+    it takes."""
     chain = _attr_chain(call.func)
-    if len(chain) < 2:
-        return []
+    if not chain:
+        return [], []
+    if len(chain) == 1:
+        # Constructors take ownership of what they are handed.
+        return [], _name_args(call) if chain[0][:1].isupper() else []
     tail, recv = chain[-1], chain[-2]
     line = call.lineno
     args = call.args
     arg0 = args[0].id if args and isinstance(args[0], ast.Name) else None
+    if tail == "append" and recv == "_free":
+        return ([_Op("slot-release", arg0, line)] if arg0 else []), []
     ops: list[_Op] = []
     if recv == "resident" and tail in _PAGE_OPS and arg0:
         ops.append(_Op(_PAGE_OPS[tail], arg0, line))
+    elif tail == "free_slot" and arg0:
+        ops.append(_Op("slot-release", arg0, line))
     elif tail == "deallocate" and len(args) == 1 and arg0 \
             and (recv == "objects"
                  or (recv == "self" and cls == "VMObjectManager")):
         ops.append(_Op("obj-deallocate", arg0, line))
-    elif tail == "reference" and not args and len(chain) == 2 \
-            and chain[0] != "self":
+    elif _referenced(call) is not None:
         ops.append(_Op("obj-reference", chain[0], line))
+    elif tail == "destroy" and not args and len(chain) == 2:
+        # Bare-name receiver only: ``region.holding.destroy()``
+        # releases an attribute, not a local.
+        ops.append(_Op("destroy", chain[0], line))
     elif tail == "_unlink" and arg0:
         ops.append(_Op("entry-unlink", arg0, line))
     elif tail in ("_link", "clip_start", "clip_end", "copy_entry_cow") \
@@ -281,7 +360,15 @@ def classify_call(call: ast.Call, cls: Optional[str]) -> list[_Op]:
         ops.append(_Op("pmap-shoot", arg0, line))
     elif tail == "update" and recv == "system" and not args:
         ops.append(_Op("pmap-shoot-all", "", line))
-    return ops
+    if tail in _ESCAPING_METHODS:
+        return ops, _name_args(call)
+    if tail == "allocate":
+        # ``map.allocate(vm_object=obj)`` stores the object into the
+        # new map entry: the caller's reference moves with it.
+        return ops, [kw.value.id for kw in call.keywords
+                     if kw.arg == "vm_object"
+                     and isinstance(kw.value, ast.Name)]
+    return ops, []
 
 
 def classify_acquire(value: ast.AST,
@@ -291,8 +378,10 @@ def classify_acquire(value: ast.AST,
         return None
     chain = _attr_chain(value.func)
     if len(chain) < 2:
-        return None
+        return _CONSTRUCTED.get(chain[0]) if chain else None
     tail, recv = chain[-1], chain[-2]
+    if tail == "pop" and recv == "_free":
+        return ("slot", "held")
     if tail == "allocate" and recv == "resident":
         return ("page", "busy")
     if tail in ("create_internal", "create_for_pager", "shadow") \
@@ -300,6 +389,50 @@ def classify_acquire(value: ast.AST,
                  or (recv == "self" and cls == "VMObjectManager")):
         return ("vmobject", "live")
     return None
+
+
+def _referenced(value: ast.AST) -> Optional[str]:
+    """``obj`` when *value* is ``obj.reference()``.  As a whole
+    statement it leaves the new reference in the function's hands (a
+    nested ``f(x=obj.reference())`` hands it to ``f``)."""
+    if isinstance(value, ast.Call) and not value.args:
+        chain = _attr_chain(value.func)
+        if len(chain) == 2 and chain[1] == "reference" \
+                and chain[0] != "self":
+            return chain[0]
+    return None
+
+
+def _names_under(expr: ast.AST) -> list[str]:
+    return [n.id for n in walk_no_lambda(expr)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+
+
+def _stored(stmt: Optional[ast.stmt]) -> list[str]:
+    """Names a statement stores into an attribute or subscript."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], (ast.Attribute, ast.Subscript)):
+        return _names_under(stmt.value)
+    return []
+
+
+def _passed_on(node: CFGNode) -> list[str]:
+    """Names whose value a statement passes on without storing it:
+    handed to a callee that has no name (a call result, a subscript),
+    returned, yielded, or assigned to another name."""
+    names = [a.id for call in node.calls if not _attr_chain(call.func)
+             for a in call.args if isinstance(a, ast.Name)]
+    stmt = node.stmt
+    if isinstance(stmt, ast.Return) and stmt.value is not None:
+        names += _names_under(stmt.value)
+    elif isinstance(stmt, ast.Expr) and isinstance(
+            stmt.value, (ast.Yield, ast.YieldFrom, ast.Await)):
+        names += _names_under(stmt.value)
+    elif isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
+            and isinstance(stmt.targets[0], ast.Name) \
+            and isinstance(stmt.value, ast.Name):
+        names.append(stmt.value.id)
+    return names
 
 
 # -- dataflow facts ----------------------------------------------------------
@@ -310,6 +443,12 @@ class _Fact:
     state: str       # concrete state or TOP
     line: int        # line that established the current state
     acquired: bool = False   # freshly acquired in this function
+    owned: bool = False      # taken by the acquire table, not handed off
+
+    @property
+    def owed(self) -> bool:
+        """Owned and still in a state that needs a release."""
+        return self.owned and self.state in PROTOCOLS[self.proto].held
 
 
 _State = dict    # var -> _Fact; copied on write
@@ -321,20 +460,22 @@ def _join(a: _State, b: _State) -> _State:
     out: _State = dict(a)
     # Untracked on one path means the state is unknown there, not
     # absent: a page freed on one branch only must join to unknown
-    # (never reported), not stay "free".
+    # (never reported), not stay "free".  A resource still owed on one
+    # path stays owed: a conditional acquire can still leak.
     for var, mine in a.items():
-        if var not in b and mine.state != TOP:
+        if var not in b and mine.state != TOP and not mine.owed:
             out[var] = _Fact(mine.proto, TOP, mine.line)
     for var, fact in b.items():
         mine = out.get(var)
         if mine is None:
-            out[var] = _Fact(fact.proto, TOP, fact.line) \
-                if fact.state != TOP else fact
+            out[var] = fact if fact.state == TOP or fact.owed \
+                else _Fact(fact.proto, TOP, fact.line)
         elif mine != fact:
             if mine.proto == fact.proto and mine.state == fact.state:
                 out[var] = _Fact(mine.proto, mine.state,
                                  min(mine.line, fact.line),
-                                 mine.acquired and fact.acquired)
+                                 mine.acquired and fact.acquired,
+                                 mine.owned and fact.owned)
             else:
                 out[var] = _Fact(mine.proto, TOP,
                                  min(mine.line, fact.line))
@@ -344,13 +485,13 @@ def _join(a: _State, b: _State) -> _State:
 # -- the engine: one function, summary mode or check mode -------------------
 
 class _FunctionEngine:
-    """Shared transfer function over one function's CFG.
+    """The one transfer function over one function's CFG.
 
-    In *check mode* (``run_check``) it emits findings — but only
-    during a final sweep over fixpoint states, never from the
-    intermediate states the solver passes through.  In *summary mode*
-    (``run_summary``) it harvests parameter exit states, escapes, and
-    may-yield for the bottom-up fixpoint.
+    In *check mode* (``run_check``) it emits findings of both rule
+    groups — but only during a final sweep over fixpoint states, never
+    from the intermediate states the solver passes through.  In
+    *summary mode* (``run_summary``) it harvests parameter exit
+    states, escapes, and may-yield for the bottom-up fixpoint.
     """
 
     def __init__(self, module: str, qualname: str, func: ast.AST,
@@ -372,21 +513,17 @@ class _FunctionEngine:
 
     # -- reporting ----------------------------------------------------------
 
-    def _report(self, rule: str, template: str, var: str,
-                line: int, origin: int) -> None:
+    def _report(self, rule: str, var: str, line: int,
+                message: str) -> None:
         if not self._reporting:
             return
-        key = (rule, line, var)
-        self.findings.setdefault(key, Finding(
-            PASS_NAME, self.module, line, rule, self.qualname,
-            template.format(var=var, line=origin)))
+        group = LIFECYCLE if rule in LIFECYCLE_RULES else TYPESTATE
+        self.findings.setdefault((rule, line, var), Finding(
+            group, self.module, line, rule, self.qualname, message))
 
     # -- op application ------------------------------------------------------
 
     def _apply_op(self, state: _State, op: _Op) -> _State:
-        spec = _OP_PROTO.get(op.op)
-        if spec is None:
-            return state
         if op.op == "pmap-shoot-all":
             out = dict(state)
             for var, fact in state.items():
@@ -395,13 +532,14 @@ class _FunctionEngine:
             return out
         fact = state.get(op.var)
         if fact is None:
-            target = spec.track_on.get(op.op)
-            if target is not None:
-                out = dict(state)
-                out[op.var] = _Fact(spec.name, target, op.line)
-                return out
-            return state
-        if fact.proto != spec.name or fact.state == TOP:
+            spec = _TRACKED_BY.get(op.op)
+            if spec is None:
+                return state
+            out = dict(state)
+            out[op.var] = _Fact(spec.name, spec.track_on[op.op], op.line)
+            return out
+        spec = PROTOCOLS[fact.proto]
+        if fact.state == TOP or op.op not in _KNOWN_OPS[spec.name]:
             # Another protocol claims this name, or paths disagree:
             # degrade quietly rather than invent a violation.
             out = dict(state)
@@ -410,12 +548,14 @@ class _FunctionEngine:
         crime = spec.violations.get((op.op, fact.state))
         if crime is not None:
             rule, template = crime
-            self._report(rule, template, op.var, op.line, fact.line)
+            self._report(rule, op.var, op.line, template.format(
+                var=op.var, line=fact.line, kind=spec.kind))
             return state
         nxt = spec.transitions.get((op.op, fact.state))
         out = dict(state)
         if nxt is not None:
-            out[op.var] = _Fact(spec.name, nxt, op.line, fact.acquired)
+            out[op.var] = _Fact(spec.name, nxt, op.line, fact.acquired,
+                                fact.owned)
         else:
             out[op.var] = _Fact(spec.name, TOP, fact.line)
         return out
@@ -480,9 +620,11 @@ class _FunctionEngine:
         # preemption; only thread bodies preempt at yield
         # (cfg.is_thread_body, the rule every pass shares).
         stmt_yields = node.has_yield and self._thread_body
+        handed = _stored(node.stmt)
 
         for call in node.calls:
-            direct = classify_call(call, self._cls)
+            direct, taken = classify_call(call, self._cls)
+            handed += taken
             for op in direct:
                 after = self._apply_op(after, op)
             s_ops, s_degrade, callee_yields = self._summary_ops(
@@ -496,6 +638,17 @@ class _FunctionEngine:
             if callee_yields or is_yield_primitive(call,
                                                    self._ctx_params):
                 stmt_yields = True
+
+        # Hand-offs end ownership on both out-states: the statement may
+        # raise after the store, so a leak is never invented.  Only
+        # stores are parameter escapes for the summary; a value passed
+        # on any other way still belongs to someone in reach.
+        self.escaped.update(handed)
+        for var in handed + _passed_on(node):
+            fact = after.get(var)
+            if fact is not None and fact.owned:
+                after[var] = _Fact(fact.proto, fact.state, fact.line,
+                                   fact.acquired)
 
         if stmt_yields:
             self.saw_yield = True
@@ -516,21 +669,26 @@ class _FunctionEngine:
                 acq = self._acquire_of(stmt.value)
                 out = dict(state)
                 if acq is not None:
-                    proto, st = acq
+                    # The acquire table's own results are owned here; a
+                    # callee's fresh return is tracked, not judged.
+                    proto, st, owned = acq
                     out[target.id] = _Fact(proto, st, stmt.lineno,
-                                           acquired=True)
+                                           acquired=True, owned=owned)
                 else:
                     out.pop(target.id, None)
-            elif isinstance(target, (ast.Attribute, ast.Subscript)):
-                for n in walk_no_lambda(stmt.value):
-                    if isinstance(n, ast.Name) \
-                            and isinstance(n.ctx, ast.Load):
-                        self.escaped.add(n.id)
             elif isinstance(target, (ast.Tuple, ast.List)):
                 out = dict(state)
                 for elt in target.elts:
                     if isinstance(elt, ast.Name):
                         out.pop(elt.id, None)
+        elif isinstance(stmt, ast.Expr):
+            var = _referenced(stmt.value)
+            fact = state.get(var) if var is not None else None
+            if fact is not None and fact.proto == "vmobject" \
+                    and fact.state == "live":
+                out = dict(state)
+                out[var] = _Fact("vmobject", "live", stmt.lineno,
+                                 fact.acquired, owned=True)
         elif isinstance(stmt, ast.AugAssign) \
                 and isinstance(stmt.target, ast.Name):
             out = dict(state)
@@ -545,23 +703,16 @@ class _FunctionEngine:
             for tgt in stmt.targets:
                 if isinstance(tgt, ast.Name):
                     out.pop(tgt.id, None)
-        # Constructor / container-method arguments escape.
-        for call in node.calls:
-            chain = _attr_chain(call.func)
-            if not chain:
-                continue
-            if (len(chain) == 1 and chain[0][:1].isupper()) \
-                    or chain[-1] in _ESCAPING_METHODS:
-                for arg in list(call.args) + \
-                        [kw.value for kw in call.keywords]:
-                    if isinstance(arg, ast.Name):
-                        self.escaped.add(arg.id)
         return out
 
-    def _acquire_of(self, value: ast.AST) -> Optional[tuple[str, str]]:
+    def _acquire_of(self, value: ast.AST
+                    ) -> Optional[tuple[str, str, bool]]:
+        """``(protocol, state, owned)`` freshly acquired by *value*:
+        owned when the acquire table names it, not when a callee's
+        summary says it returns a fresh resource."""
         acq = classify_acquire(value, self._cls)
         if acq is not None:
-            return acq
+            return (*acq, True)
         if isinstance(value, ast.Call) and self.info is not None:
             pairs = self.lookup(value, self.info)
             if pairs:
@@ -571,7 +722,7 @@ class _FunctionEngine:
                 if len(kinds) == 1:
                     proto, _, st = next(iter(kinds)).partition(":")
                     if proto in PROTOCOLS:
-                        return (proto, st)
+                        return (proto, st, False)
         return None
 
     # -- check-mode detectors ------------------------------------------------
@@ -599,8 +750,9 @@ class _FunctionEngine:
                         and not isinstance(sub.ctx, ast.Store):
                     continue
                 rule, template = spec.use_rule
-                self._report(rule, template, sub.value.id,
-                             node.lineno, fact.line)
+                self._report(rule, sub.value.id, node.lineno,
+                             template.format(var=sub.value.id,
+                                             line=fact.line))
 
     def _check_yield_hazard(self, node: CFGNode, state: _State) -> None:
         if not self._reporting:
@@ -611,35 +763,63 @@ class _FunctionEngine:
                 continue
             hazard_state, rule, template = spec.yield_hazard
             if fact.state == hazard_state:
-                self._report(rule, template, var, node.lineno,
-                             fact.line)
+                self._report(rule, var, node.lineno,
+                             template.format(var=var, line=fact.line))
+
+    def _check_leaks(self, state: _State, via_line: int,
+                     exceptional: bool) -> None:
+        for var, fact in sorted(state.items()):
+            spec = PROTOCOLS[fact.proto]
+            if not fact.owed or not (exceptional or spec.leak_on_return):
+                continue
+            if exceptional:
+                rule = "leak-on-exception-path"
+                how = (f"still held when line {via_line} can raise"
+                       if via_line else "still held when the function "
+                       "can unwind")
+            else:
+                rule = "leak-on-return"
+                how = f"still held at the return on line {via_line}" \
+                    if via_line else "still held at function exit"
+            # Keyed on the acquisition, not the exit edge: one finding
+            # per leaked acquire, at its most actionable line.
+            self._report(rule, var, fact.line,
+                         f"{spec.kind} {var!r} acquired here is never "
+                         f"released or handed off: {how}")
 
     # -- drivers ---------------------------------------------------------------
 
-    def run_check(self) -> list[Finding]:
+    def _replay(self, reporting: bool):
+        """Solve, then replay each reachable node's transfer:
+        ``(node, normal out, exceptional out)``.  Findings come only
+        from the replay, never from intermediate solver states."""
         cfg = build_cfg(self.func)
         states = solve_forward(cfg, {}, self._transfer, _join)
-        # Report only from fixpoint states: an intermediate state can
-        # hold a concrete fact a later join degrades to unknown.
-        self._reporting = True
+        self._reporting = reporting
         for node in cfg:
             if node.nid in states:
-                self._transfer(node, states[node.nid])
+                yield (node, *self._transfer(node, states[node.nid]))
         self._reporting = False
+
+    def run_check(self) -> list[Finding]:
+        # Leaks are judged per exit *edge*, not on the joined exit
+        # state: joining a leaking path with a clean one would hide it.
+        for node, out_n, out_e in self._replay(reporting=True):
+            if EXC_EXIT in node.exc:
+                self._check_leaks(out_e, node.lineno, exceptional=True)
+            if EXC_EXIT in node.succ:         # raise / finally rethrow
+                self._check_leaks(out_n, node.lineno, exceptional=True)
+            if EXIT in node.succ:
+                self._check_leaks(out_n, node.lineno, exceptional=False)
         return sorted(self.findings.values(),
                       key=lambda f: (f.lineno, f.rule))
 
     def run_summary(self, propagates: bool) -> Summary:
-        cfg = build_cfg(self.func)
-        states = solve_forward(cfg, {}, self._transfer, _join)
         params = set(self.info.params if self.info is not None else ())
         must: Optional[set[tuple[str, str]]] = None
         may: set[tuple[str, str]] = set()
         returns: Optional[set[str]] = None
-        for node in cfg:
-            if node.nid not in states:
-                continue
-            out_n, out_e = self._transfer(node, states[node.nid])
+        for node, out_n, out_e in self._replay(reporting=False):
             if EXC_EXIT in node.exc or EXC_EXIT in node.succ:
                 may |= self._param_states(out_e, params)
             if EXIT in node.succ:
@@ -660,9 +840,12 @@ class _FunctionEngine:
     @staticmethod
     def _param_states(state: _State,
                       params: set[str]) -> set[tuple[str, str]]:
+        # A fact acquired here is a rebound local, not the caller's
+        # argument.
         return {(var, f"{fact.proto}:{fact.state}")
                 for var, fact in state.items()
-                if var in params and fact.state != TOP}
+                if var in params and fact.state != TOP
+                and not fact.acquired}
 
     def _returned_kind(self, node: CFGNode, state: _State) -> set[str]:
         stmt = node.stmt
@@ -755,6 +938,9 @@ class AnalysisContext:
 
     graph: CallGraph
     summaries: dict[str, Summary]
+    #: module -> its findings of both rule groups: the two groups'
+    #: passes read one engine run per module (:func:`check_group`).
+    checked: dict[str, list[Finding]] = field(default_factory=dict)
 
     def lookup(self, call: ast.Call,
                caller: FunctionInfo) -> list[tuple[str, Summary]]:
@@ -814,13 +1000,15 @@ def build_context(modules: Iterable[tuple[str, ast.AST,
     return AnalysisContext(graph=graph, summaries=summaries)
 
 
-# -- the pass ----------------------------------------------------------------
+# -- the two passes -------------------------------------------------------
 
 def check_module(module: str, tree: ast.AST,
                  ctx: Optional[AnalysisContext] = None) -> list[Finding]:
-    """Typestate-check one module.  Without *ctx*, a module-local
-    context is built, so helper/caller pairs inside the module are
-    still checked interprocedurally (what the fixtures exercise)."""
+    """Run the engine over one module: one check-mode solve per
+    function, reporting both rule groups.  Without *ctx*, a
+    module-local context is built, so helper/caller pairs inside the
+    module are still checked interprocedurally (what the fixtures
+    exercise)."""
     if ctx is None:
         ctx = build_context([(module, tree, None)])
     findings: list[Finding] = []
@@ -832,10 +1020,24 @@ def check_module(module: str, tree: ast.AST,
     return findings
 
 
-def in_scope(module: str, package: str = "repro") -> bool:
-    """Typestate scope: the simulated kernel, not the tooling."""
+def check_group(group: str, module: str, tree: ast.AST,
+                ctx: AnalysisContext) -> list[Finding]:
+    """*group*'s findings in *module*.  The first group asked runs the
+    engine; the other reads its findings from *ctx*."""
+    found = ctx.checked.get(module)
+    if found is None:
+        found = ctx.checked[module] = check_module(module, tree, ctx)
+    return [f for f in found if f.pass_name == group]
+
+
+def in_scope(module: str, package: str = "repro",
+             group: str = TYPESTATE) -> bool:
+    """Does *group* check *module*?  Lifecycle pairing covers the whole
+    package; the typestate rules cover the simulated kernel, not the
+    tooling."""
+    if group == LIFECYCLE:
+        return True
     inner = _strip(module, package)
     if inner is None or inner == "":
         return False
     return inner.split(".")[0] not in EXEMPT
-

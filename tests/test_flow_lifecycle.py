@@ -1,5 +1,5 @@
-"""The resource-lifecycle pass: known-bad fixtures stay red, the
-exception-safe idioms stay green."""
+"""The lifecycle rule group of the ownership engine: known-bad fixtures
+stay red, the exception-safe idioms stay green."""
 
 from __future__ import annotations
 
@@ -7,9 +7,16 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.lifecycle import check_module
+import pytest
+
+import repro
+from repro.analysis.flow import run_flow_passes
+from repro.analysis.typestate import check_module
 
 FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
+SWAP = Path(repro.__file__).parent / "pager" / "swap.py"
+#: The shipped error-path refund of a freshly popped swap slot.
+REFUND = "            if fresh:\n                self._free.append(slot)\n"
 
 
 def _fixture_findings(name: str):
@@ -34,12 +41,25 @@ class TestKnownBadFixtures:
         assert "'slot'" in leak.message
 
     def test_double_release_detected(self):
+        """A resident page freed twice is reported once, under the page
+        protocol's own rule."""
         findings = _fixture_findings("double_release.py")
-        assert any(f.rule == "double-release"
-                   and "resident-page" in f.message for f in findings)
+        assert [(f.rule, f.lineno) for f in findings] == [
+            ("page-double-free", 12)]
 
     def test_clean_fixture_is_clean(self):
         assert _fixture_findings("clean.py") == []
+
+    def test_page_commits_are_not_releases(self):
+        """allocate -> activate -> deactivate -> free is the sanctioned
+        page sequence: queue moves are state changes, so neither rule
+        group reports it."""
+        assert _fixture_findings("typestate_clean.py") == []
+
+    def test_each_double_free_is_reported_once(self):
+        findings = _fixture_findings("typestate_protocols.py")
+        assert [f.rule for f in findings if f.lineno == 25] == [
+            "page-double-free"]
 
 
 class TestIdioms:
@@ -109,3 +129,36 @@ class TestIdioms:
                         raise
                     return slot
         """) == []
+
+
+class TestShippedSwapMutation:
+    """The lifecycle rules run alone over a copy of the shipped swap
+    code: clean as shipped, red once a slot refund is deleted."""
+
+    def _report(self, tmp_path, source):
+        (tmp_path / "pager").mkdir()
+        (tmp_path / "pager" / "swap.py").write_text(source)
+        return run_flow_passes(root=tmp_path, passes=("lifecycle",))
+
+    def test_shipped_swap_is_clean(self, tmp_path):
+        report = self._report(tmp_path, SWAP.read_text())
+        assert report.clean, report.lines()
+        assert report.analyzed == ["repro.pager.swap"]
+
+    @pytest.mark.parametrize("which, where", [
+        (0, "SwapSpace.write_slot"), (1, "FileBackedSwap.write_slot")])
+    def test_deleted_refund_leaks_on_the_error_path(self, tmp_path,
+                                                    which, where):
+        source = SWAP.read_text()
+        assert source.count(REFUND) == 2
+        at = -1
+        for _ in range(which + 1):
+            at = source.index(REFUND, at + 1)
+        mutated = source[:at] + REFUND.replace(
+            "self._free.append(slot)", "pass") + source[at + len(REFUND):]
+        pops = [n for n, line in enumerate(mutated.splitlines(), 1)
+                if line.strip() == "slot = self._free.pop()"]
+        report = self._report(tmp_path, mutated)
+        assert [(f.pass_name, f.rule, f.where, f.lineno)
+                for f in report.findings] == [
+            ("lifecycle", "leak-on-exception-path", where, pops[which])]

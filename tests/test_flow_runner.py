@@ -60,17 +60,49 @@ class TestCleanTree:
 
 class TestCrashHandling:
     def test_crashing_pass_becomes_analysis_error(self, monkeypatch):
-        import repro.analysis.lifecycle as lifecycle
+        import repro.analysis.typestate as typestate
 
         def boom(module, tree, ctx=None):
             raise RuntimeError("pass exploded")
 
-        monkeypatch.setattr(lifecycle, "check_module", boom)
+        monkeypatch.setattr(typestate, "check_module", boom)
         report = run_flow_passes(passes=["lifecycle"])
         assert not report.clean
         assert report.errors
         assert report.errors[0].pass_name == "lifecycle"
         assert "pass exploded" in report.errors[0].message
+
+    def test_both_groups_share_one_engine_run(self, monkeypatch,
+                                              tmp_path):
+        """lifecycle and typestate are two rule groups of one engine:
+        asking for both runs it once per module."""
+        import repro.analysis.typestate as typestate
+
+        calls = []
+        check = typestate.check_module
+
+        def counting(module, tree, ctx=None):
+            calls.append(module)
+            return check(module, tree, ctx)
+
+        monkeypatch.setattr(typestate, "check_module", counting)
+        (tmp_path / "core").mkdir()
+        (tmp_path / "core" / "k.py").write_text(
+            "class K:\n"
+            "    def run(self, page):\n"
+            "        self.resident.free(page)\n"
+            "        self.resident.free(page)\n"
+            "\n"
+            "    def lose(self):\n"
+            "        slot = self._free.pop()\n"
+            "        self.log(slot)\n")
+        report = run_flow_passes(root=tmp_path,
+                                 passes=("lifecycle", "typestate"))
+        assert calls == ["repro.core.k"]
+        assert sorted((f.pass_name, f.rule) for f in report.findings) == [
+            ("lifecycle", "leak-on-exception-path"),
+            ("lifecycle", "leak-on-return"),
+            ("typestate", "page-double-free")]
 
     def test_unknown_pass_is_an_error(self):
         report = run_flow_passes(passes=["mystery"])
@@ -96,12 +128,12 @@ class TestCrashHandling:
         assert report.analyzed        # the crashed modules re-ran
 
     def test_crash_fails_repro_check(self, monkeypatch, capsys):
-        import repro.analysis.lifecycle as lifecycle
+        import repro.analysis.typestate as typestate
 
         def boom(module, tree, ctx=None):
             raise RuntimeError("pass exploded")
 
-        monkeypatch.setattr(lifecycle, "check_module", boom)
+        monkeypatch.setattr(typestate, "check_module", boom)
         assert main(["check", "--lint-only", "--no-cache"]) == 1
         out = capsys.readouterr().out
         assert "analysis error" in out

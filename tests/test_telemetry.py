@@ -469,6 +469,29 @@ class TestStorm:
             "vax": (986.0, 20256.0),
             "sun3": (1482.0, 20482.0)}
 
+    def test_pager_storm_counts_each_failed_read_once(self, monkeypatch):
+        """Every pager operation stalls, so retry budgets run out and
+        reads raise: the report's ``fault_errors`` is the telemetry's
+        count of failed faults, one per read that raised."""
+        from repro.sched.scheduler import ThreadContext
+
+        raised = []
+        read = ThreadContext.read
+
+        def counting_read(self, address, size):
+            try:
+                return read(self, address, size)
+            except Exception:
+                raised.append(address)
+                raise
+
+        monkeypatch.setattr(ThreadContext, "read", counting_read)
+        monkeypatch.setattr(storm_mod, "PAGER_STALL_RATE", 1.0)
+        report, _ = storm_mod.run_pager_storm("generic", tasks=2,
+                                              pages=3, rounds=1)
+        assert raised
+        assert report["fault_errors"] == len(raised)
+
     def test_cli_storm_text_table(self, capsys):
         assert main(["storm", "--arch", "generic", "--tasks", "2",
                      "--pages", "3", "--rounds", "1"]) == 0

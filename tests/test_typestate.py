@@ -221,6 +221,11 @@ class TestScopeAndTree:
         assert in_scope("repro.core.kernel")
         assert in_scope("repro.pmap.interface")
 
+    def test_lifecycle_rules_cover_the_whole_package(self):
+        assert in_scope("repro.analysis.typestate", group="lifecycle")
+        assert in_scope("repro.bench.storm", group="lifecycle")
+        assert in_scope("repro.core.kernel", group="lifecycle")
+
     def test_real_tree_is_clean(self):
         """The shipped kernel honors its own protocols (any true
         finding must be fixed or baselined, not ignored)."""
