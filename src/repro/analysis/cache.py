@@ -2,21 +2,24 @@
 
 ``repro check`` is a hard CI gate, and the flow passes re-parse and
 re-analyze every module from scratch on every run.  This store makes
-the common case — nothing changed, or one module changed — cheap:
+the common case — nothing changed, or one module changed — cheap.
+Every key derives from the sha256 of each file's bytes, taken once
+per run as :class:`~repro.analysis.flow.SourceTree` reads them: keys
+are content only, never mtimes, sizes or inodes.
 
 * **whole-tree fast path** — ``tree.json`` records, for each of the
-  last :data:`RECENT_TREES` trees analyzed, a digest over every
-  module's source plus every pass version, and that tree's raw
-  findings.  The runner reads each source exactly once and hashes it
-  before any AST work; when the digest matches a remembered tree, it
-  serves every result (the whole-tree conformance result included)
-  from ``tree.json`` alone with *zero* analysis work: no parse, no
-  call graph, no summary fixpoint.  Remembering several trees means a
-  reverted edit or a deleted probe file is served whole too.  Only a
-  miss parses, and it parses the very strings that were hashed.
+  last :data:`RECENT_TREES` trees analyzed, a digest of the tree's
+  :func:`content_digest` plus every pass version (``lint.json``: the
+  lint versions), and that tree's raw findings.  When the digest
+  matches a remembered tree, the runner serves every result (the
+  whole-tree conformance result included) from ``tree.json`` alone
+  with *zero* analysis work: no decode, no parse, no call graph, no
+  summary fixpoint.  Remembering several trees means a reverted edit
+  or a deleted probe file is served whole too.  Only a miss parses,
+  and it parses the very bytes that were hashed.
 
 * **per-module keys** — when the tree digest misses, each module's key
-  is ``sha256(source + pass versions + own summary digest + each
+  is ``sha256(file digest + pass versions + own summary digest + each
   dependency's summary digest)``, where dependencies are the modules
   containing any resolved callee (call-graph edges, not imports).
   Editing module A re-analyzes A and exactly the modules whose
@@ -42,11 +45,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import tempfile
 from pathlib import Path
 from typing import Iterable, Optional
 
 #: Bumped when the on-disk format changes; part of every digest.
-CACHE_FORMAT = "1"
+CACHE_FORMAT = "2"
 
 DEFAULT_DIR = Path(".repro-cache")
 
@@ -62,18 +67,22 @@ def _sha(parts: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def tree_digest(sources: dict[str, str], versions: dict[str, str]) -> str:
-    """Digest over every module's source and every pass version."""
-    parts = [CACHE_FORMAT]
-    parts += [f"{m}\n{src}" for m, src in sorted(sources.items())]
+def content_digest(file_digests: dict[str, str]) -> str:
+    """Digest over every ``(module, file digest)`` pair, in module order."""
+    return _sha(f"{m}={d}" for m, d in sorted(file_digests.items()))
+
+
+def tree_digest(content: str, versions: dict[str, str]) -> str:
+    """A :func:`content_digest` plus one version set (passes' or lints')."""
+    parts = [CACHE_FORMAT, content]
     parts += [f"{name}={ver}" for name, ver in sorted(versions.items())]
     return _sha(parts)
 
 
-def module_key(source: str, versions: dict[str, str],
+def module_key(file_digest: str, versions: dict[str, str],
                own_digest: str, dep_digests: dict[str, str]) -> str:
     """Cache key for one module's per-module pass results."""
-    parts = [CACHE_FORMAT, source]
+    parts = [CACHE_FORMAT, file_digest]
     parts += [f"{name}={ver}" for name, ver in sorted(versions.items())]
     parts.append(f"self={own_digest}")
     parts += [f"{dep}={d}" for dep, d in sorted(dep_digests.items())]
@@ -100,10 +109,17 @@ class AnalysisCache:
 
     @staticmethod
     def _write(path: Path, payload: dict) -> None:
+        # A temp file per write: two writers never move each other's.
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        tmp.replace(path)
+        fd, tmp = tempfile.mkstemp(prefix=path.name, suffix=".tmp",
+                                   dir=path.parent)
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(json.dumps(payload, indent=1, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- whole-tree sections: the last few trees, keyed by digest ------------
 

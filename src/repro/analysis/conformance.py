@@ -246,7 +246,7 @@ def _module_imports(module_name: str, source: Optional[SourceTree]
         # The run's SourceTree already read (and maybe parsed) the
         # module's file when it holds it.
         if source is not None \
-                and source.files.get(module_name, (None,))[0] == origin:
+                and source.files.get(module_name, (None,))[0] == str(origin):
             tree = source.parse(module_name)
         else:
             tree = ast.parse(origin.read_text())

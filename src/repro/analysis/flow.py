@@ -13,8 +13,9 @@ and the ``atomicity`` pass in :mod:`~repro.analysis.race`:
   ``repro check`` treats these as failures, never as a clean run;
 * :func:`solve_forward` — a generic forward worklist solver over the
   CFGs built by :mod:`repro.analysis.cfg`;
-* :class:`SourceTree` — one run's source files, each read once and
-  each module parsed at most once, shared by the lints and the passes;
+* :class:`SourceTree` — one run's source files, each read and hashed
+  once and each module parsed at most once, shared by the lints and
+  the passes;
 * a reviewed-suppression **baseline** (``flow_baseline.txt`` next to
   this module): triaged false positives are recorded there with a
   reason instead of silencing the rule globally;
@@ -26,10 +27,14 @@ and the ``atomicity`` pass in :mod:`~repro.analysis.race`:
 from __future__ import annotations
 
 import ast
+import hashlib
+import os
 import traceback
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from importlib.util import decode_source
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -130,26 +135,19 @@ def solve_forward(cfg: CFG, init: object, transfer: Transfer,
 
 # -- the source tree of one run -------------------------------------------
 
-def _module_name(root: Path, path: Path, package: str) -> str:
-    rel = path.relative_to(root).with_suffix("")
-    parts = list(rel.parts)
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join([package] + parts)
-
-
 class SourceLines(Sequence):
-    """One module's source lines, split on first use.  Only the
-    ``#: no-retry`` checks read lines, at a few call sites, so most
-    modules of a run never split their text."""
+    """One module's source lines, decoded and split on first use.  Only
+    the ``#: no-retry`` checks and the guard annotations read lines, at
+    a few call sites, so most modules of a run never decode their
+    bytes."""
 
-    def __init__(self, text: str) -> None:
-        self._text = text
+    def __init__(self, data: bytes) -> None:
+        self._data = data
         self._lines: Optional[list[str]] = None
 
     def _split(self) -> list[str]:
         if self._lines is None:
-            self._lines = self._text.splitlines()
+            self._lines = decode_source(self._data).splitlines()
         return self._lines
 
     def __len__(self) -> int:
@@ -161,15 +159,17 @@ class SourceLines(Sequence):
 
 class SourceTree:
     """Every source file under *root* (the installed ``repro`` package
-    by default), read once, in path order; each module is parsed on
-    first use and at most once.
+    by default), read as bytes in one directory walk, in path order,
+    and hashed (sha256) as it is read; each module is parsed on first
+    use and at most once, straight from its bytes.
 
-    ``repro check`` builds one per run and hands it to the lint digest,
-    both lints and the flow passes, so everything hashed, linted,
-    parsed and split into lines is one version of each file, and a run
-    served from the cache parses nothing.  Never keep one across runs:
-    it holds the parsed trees and, on their nodes, the walker's child
-    index (:func:`repro.analysis.cfg.children`)."""
+    ``repro check`` builds one per run and hands it to both lints and
+    the flow passes, so everything hashed, linted, parsed and split
+    into lines is one version of each file, and every cache key comes
+    from the per-file digests (:attr:`digest` is the tree's; a run
+    served from the cache parses and decodes nothing).  Never keep one
+    across runs: it holds the parsed trees and, on their nodes, the
+    walker's child index (:func:`repro.analysis.cfg.children`)."""
 
     def __init__(self, root: Optional[Path] = None,
                  package: str = "repro") -> None:
@@ -178,25 +178,40 @@ class SourceTree:
             root = Path(repro.__file__).resolve().parent
         self.root = Path(root)
         self.package = package
-        #: ``{dotted module: (path, source text)}``
-        self.files: dict[str, tuple[Path, str]] = {
-            _module_name(self.root, path, package): (path, path.read_text())
-            for path in sorted(self.root.rglob("*.py"))}
+        top = str(self.root)
+        found = []
+        for dirpath, _dirs, names in os.walk(top):
+            parts = [p for p in dirpath[len(top):].split(os.sep) if p]
+            found += [(*parts, n) for n in names if n.endswith(".py")]
+        #: ``{dotted module: (path, bytes, sha256 hex digest)}``
+        self.files: dict[str, tuple[str, bytes, str]] = {}
+        for parts in sorted(found):
+            path = os.path.join(top, *parts)
+            with open(path, "rb") as handle:
+                data = handle.read()
+            module = ".".join([package, *parts[:-1], parts[-1][:-3]])
+            self.files[module.removesuffix(".__init__")] = (
+                path, data, hashlib.sha256(data).hexdigest())
         self._trees: dict[str, ast.Module] = {}
 
-    @property
-    def sources(self) -> dict[str, str]:
-        """``{dotted module: source text}``."""
-        return {m: text for m, (_path, text) in self.files.items()}
+    @cached_property
+    def digest(self) -> str:
+        """The tree's content digest, over each ``(module, file
+        digest)`` pair (see :func:`repro.analysis.cache.content_digest`)."""
+        from repro.analysis.cache import content_digest
+        return content_digest({m: f[2] for m, f in self.files.items()})
+
+    def lines(self, module: str) -> SourceLines:
+        """*module*'s source lines, decoded on first use."""
+        return SourceLines(self.files[module][1])
 
     def parse(self, module: str) -> ast.Module:
         """*module*'s tree, parsed on first use (a module that fails to
         parse raises on every call)."""
         tree = self._trees.get(module)
         if tree is None:
-            path, text = self.files[module]
-            tree = self._trees[module] = ast.parse(text,
-                                                   filename=str(path))
+            path, data, _digest = self.files[module]
+            tree = self._trees[module] = ast.parse(data, filename=path)
         return tree
 
 
@@ -443,8 +458,8 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
         return report
     module_names = tuple(n for n in names if n in registry)
 
-    # Read every source once: the tree digest, the parse, the lines and
-    # the per-module keys all come from this one string per module.
+    # Read and hash every source once: the tree digest, the parse, the
+    # lines and the per-module keys all come from these bytes.
     try:
         if source is None:
             source = SourceTree(root, package)
@@ -453,7 +468,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
     package = source.package
-    sources = source.sources
+    sources = source.files
 
     versions = {n: mp.version for n, mp in registry.items()}
     if "conformance" in names:
@@ -465,7 +480,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     if cache_dir is not None:
         from repro.analysis.cache import AnalysisCache, tree_digest
         cache = AnalysisCache(cache_dir)
-        digest = tree_digest(sources, versions)
+        digest = tree_digest(source.digest, versions)
         served = _tree_fast_path(cache, digest, names, list(sources))
         if served is not None:
             raw_by_source, report.cached = served
@@ -476,8 +491,7 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     # context (call graph + summaries) — also the source of cache
     # dependency edges.
     try:
-        data = {m: (source.parse(m), SourceLines(text))
-                for m, text in sources.items()}
+        data = {m: (source.parse(m), source.lines(m)) for m in sources}
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
@@ -496,9 +510,9 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
         from repro.analysis.cache import module_key
         own = {m: ctx.summary_digest(m) for m in sources}
         mod_versions = {n: registry[n].version for n in registry}
-        for m, text in sources.items():
+        for m, (_path, _data, file_digest) in sources.items():
             deps = {d: own[d] for d in ctx.dependencies(m) if d in own}
-            keys[m] = module_key(text, mod_versions, own[m], deps)
+            keys[m] = module_key(file_digest, mod_versions, own[m], deps)
 
     raw_by_source: dict[str, list[Finding]] = {}
     to_analyze: list[str] = []

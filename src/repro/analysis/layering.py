@@ -56,6 +56,7 @@ Run it via ``python -m repro check --lint-only`` or
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -198,15 +199,15 @@ def collect_imports(root: Path, package: str = "repro",
         source = SourceTree(root, package)
     known = set(source.files)
     result: dict[str, list[ImportSite]] = {}
-    for module, (path, _text) in source.files.items():
+    for module, (path, _data, _digest) in source.files.items():
         try:
             tree = source.parse(module)
         except SyntaxError as exc:
             result[module] = [ImportSite("<syntax-error>",
                                          exc.lineno or 0, False, True)]
             continue
-        collector = _ImportCollector(module,
-                                     path.name == "__init__.py", known)
+        collector = _ImportCollector(
+            module, os.path.basename(path) == "__init__.py", known)
         collector.visit(tree)
         result[module] = collector.sites
     return result

@@ -259,7 +259,7 @@ def lint_guarded_by(root: Path, package: str = "repro",
             continue
         if module in trees:
             mod_decls, mod_attrs, mod_violations, _ = _parse_class_guards(
-                trees[module], files[module][1].splitlines(), module,
+                trees[module], source.lines(module), module,
                 class_names)
             decls.update(mod_decls)
             attrs.update(mod_attrs)

@@ -475,7 +475,7 @@ def cmd_storm(args: argparse.Namespace) -> int:
 
 
 def _lint_tree_digest(source):
-    """Digest of every file of *source* (the run's
+    """The content digest of *source* (the run's
     :class:`~repro.analysis.flow.SourceTree`) plus the lint versions —
     the key under which the layering/concurrency lint results are
     cached.  None (cache miss) when there is no tree or anything goes
@@ -487,7 +487,7 @@ def _lint_tree_digest(source):
         from repro.analysis.layering import LINT_VERSION as LAYERING_VERSION
         from repro.analysis.race import LINT_VERSION as RACE_VERSION
 
-        return tree_digest(source.sources,
+        return tree_digest(source.digest,
                            {"lint:layering": LAYERING_VERSION,
                             "lint:race": RACE_VERSION})
     except Exception:

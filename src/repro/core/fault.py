@@ -242,10 +242,15 @@ def _finish_page(kernel, result, page, level: int, first_object,
             page = _copy_up(kernel, page, first_object, first_offset)
         outcome.cow_copied = True
         kernel.stats.cow_faults += 1
-        kernel.events.emit("vm", "cow",
-                           object_id=first_object.object_id,
-                           offset=first_offset, level=level)
-        vm.objects.collapse(first_object)
+        try:
+            kernel.events.emit("vm", "cow",
+                               object_id=first_object.object_id,
+                               offset=first_offset, level=level)
+            vm.objects.collapse(first_object)
+        except Exception:
+            # As at the zero fill: never strand the busy copy.
+            vm.resident.free(page)
+            raise
 
     # (6) Decide the hardware protection.
     prot_bits = int(result.protection)

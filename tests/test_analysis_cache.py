@@ -5,15 +5,20 @@ and cached runs report the same findings as cold ones."""
 from __future__ import annotations
 
 import ast
+import builtins
+import hashlib
+import io
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.analysis import cache as cache_module
 from repro.analysis import cfg, flow
 from repro.analysis.cache import (
-    RECENT_TREES, AnalysisCache, module_key, tree_digest,
+    RECENT_TREES, AnalysisCache, content_digest, module_key, tree_digest,
 )
 from repro.analysis.flow import SourceTree, run_flow_passes
 from repro.cli import main
@@ -136,21 +141,47 @@ class TestWarmRun:
 
 
 class TestOneReadPerFile:
-    """Each source is read once per run, so the text that is hashed
-    into the cache key is the text that was parsed and analyzed."""
+    """Each source is read and hashed once per run, so the bytes that
+    are hashed into the cache keys are the bytes that were parsed and
+    analyzed."""
 
     @staticmethod
     def _count_reads(monkeypatch, tree):
+        """Count opens of the files under *tree*, through ``open`` or
+        through ``Path.read_text``/``read_bytes`` (``io.open``)."""
         reads = Counter()
-        real = Path.read_text
+        real = io.open
 
-        def read_text(self, *args, **kwargs):
-            if tree in self.parents:
-                reads[self.relative_to(tree).as_posix()] += 1
-            return real(self, *args, **kwargs)
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int) and tree in Path(file).parents:
+                reads[Path(file).relative_to(tree).as_posix()] += 1
+            return real(file, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "read_text", read_text)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
         return reads
+
+    @staticmethod
+    def _count_hashes(monkeypatch):
+        """Record every chunk fed to ``hashlib.sha256``, by its bytes."""
+        chunks = Counter()
+        real = hashlib.sha256
+
+        class Counting:
+            def __init__(self, data=None):
+                self._hash = real()
+                if data is not None:
+                    self.update(data)
+
+            def update(self, data):
+                chunks[bytes(data)] += 1
+                self._hash.update(data)
+
+            def hexdigest(self):
+                return self._hash.hexdigest()
+
+        monkeypatch.setattr(hashlib, "sha256", Counting)
+        return chunks
 
     def test_cold_and_warm_read_each_module_once(
             self, tree, tmp_path, monkeypatch):
@@ -220,27 +251,63 @@ class TestOneReadPerFile:
         assert main(["check", "--lint-only"]) == 0
         assert parses == once_parsed
 
+    def test_check_hashes_each_file_once(self, tmp_path, monkeypatch):
+        """A cold and a warm ``check --lint-only`` each feed every
+        file's bytes to sha256 exactly once, as one chunk, and the cold
+        run keys each module on its file's digest, hashing no text
+        again."""
+        files = [p.read_bytes() for p in REPRO_ROOT.rglob("*.py")]
+        once = Counter(files)
+        tree_bytes = sum(map(len, files))
+        keyed = []
+        real_key = cache_module.module_key
+
+        def module_key(file_digest, *args):
+            keyed.append(file_digest)
+            return real_key(file_digest, *args)
+
+        monkeypatch.setattr(cache_module, "module_key", module_key)
+        file_digests = sorted(hashlib.sha256(data).hexdigest()
+                              for data in files)
+        chunks = self._count_hashes(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        for run, want_keys in (("cold", file_digests), ("warm", [])):
+            chunks.clear()
+            keyed.clear()
+            assert main(["check", "--lint-only"]) == 0
+            assert Counter({b: chunks[b] for b in once}) == once, run
+            assert sorted(keyed) == want_keys, run
+            # The rest (digests, versions, the cold run's summaries) is
+            # well under what one more pass over the tree would hash.
+            other = sum(len(b) * n for b, n in chunks.items()
+                        if b not in once)
+            assert other < tree_bytes // 2, (run, other, tree_bytes)
+
     def test_lint_cache_keys_the_version_it_linted(
             self, tmp_path, monkeypatch):
         """An edit landing between two reads of one file must not store
         one version's lint results under the other version's digest.
         With one read per run there is no second version: the run lints
         what it hashed, and the next run is served that result."""
-        target = REPRO_ROOT / "core" / "constants.py"
-        real = Path.read_text
+        target = str(REPRO_ROOT / "core" / "constants.py")
+        real = io.open
         seen = Counter()
 
-        def read_text(self, *args, **kwargs):
-            text = real(self, *args, **kwargs)
-            if self == target:
-                seen[target] += 1
-                if seen[target] > 1:
-                    text += "\nfrom repro.pmap.vax import VaxPmap\n"
-            return text
+        def edited_open(file, mode="r", *args, **kwargs):
+            if str(file) != target:
+                return real(file, mode, *args, **kwargs)
+            seen[target] += 1
+            with real(file, "rb") as handle:
+                data = handle.read()
+            if seen[target] > 1:
+                data += b"\nfrom repro.pmap.vax import VaxPmap\n"
+            return io.BytesIO(data) if "b" in mode \
+                else io.StringIO(data.decode())
 
         monkeypatch.chdir(tmp_path)
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "read_text", read_text)
+            patch.setattr(builtins, "open", edited_open)
+            patch.setattr(io, "open", edited_open)
             assert main(["check", "--lint-only"]) == 0
         assert seen[target] == 1
         assert main(["check", "--lint-only"]) == 0
@@ -321,6 +388,28 @@ class TestReverseDependencyCone:
         rules = {(f.module, f.rule) for f in report.findings}
         assert ("pkg.b", "page-double-free") in rules
 
+    def test_same_length_edit_with_old_mtime_is_seen(
+            self, tree, tmp_path):
+        """Keys are content only: an in-place edit that keeps the
+        file's byte length, with its mtime put back, still re-analyzes
+        the edited module's cone and reports the new finding."""
+        cache = tmp_path / "cache"
+        new = ("pkg.b", "page-double-free")
+        cold = _run(tree, cache)
+        assert new not in {(f.module, f.rule) for f in cold.findings}
+        path = tree / "a.py"
+        edited = A_EDITED.ljust(len(A_SRC))
+        assert len(edited.encode()) == path.stat().st_size
+        stat = path.stat()
+        with open(path, "r+b") as handle:
+            handle.write(edited.encode())
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert path.stat().st_mtime_ns == stat.st_mtime_ns
+
+        report = _run(tree, cache)
+        assert _mods(report.analyzed) == ["pkg.a", "pkg.b"]
+        assert new in {(f.module, f.rule) for f in report.findings}
+
     def test_comment_only_edit_reanalyzes_only_the_module(
             self, tree, tmp_path):
         """A's summary is unchanged by a comment, so b's cache entry
@@ -361,19 +450,35 @@ class TestRecentTrees:
 class TestKeying:
     def test_module_key_covers_all_inputs(self):
         deps = {"pkg.a": "d1"}
-        base = module_key("src", {"p": "1"}, "own", deps)
-        assert base != module_key("src2", {"p": "1"}, "own", deps)
-        assert base != module_key("src", {"p": "2"}, "own", deps)
-        assert base != module_key("src", {"p": "1"}, "own2", deps)
-        assert base != module_key("src", {"p": "1"}, "own",
+        base = module_key("file", {"p": "1"}, "own", deps)
+        assert base != module_key("file2", {"p": "1"}, "own", deps)
+        assert base != module_key("file", {"p": "2"}, "own", deps)
+        assert base != module_key("file", {"p": "1"}, "own2", deps)
+        assert base != module_key("file", {"p": "1"}, "own",
                                   {"pkg.a": "d2"})
-        assert base == module_key("src", {"p": "1"}, "own", deps)
+        assert base == module_key("file", {"p": "1"}, "own", deps)
 
     def test_tree_digest_orders_canonically(self):
-        one = tree_digest({"a": "1", "b": "2"}, {"p": "1"})
-        two = tree_digest({"b": "2", "a": "1"}, {"p": "1"})
+        one = tree_digest(content_digest({"a": "1", "b": "2"}),
+                          {"p": "1"})
+        two = tree_digest(content_digest({"b": "2", "a": "1"}),
+                          {"p": "1"})
         assert one == two
-        assert one != tree_digest({"a": "1"}, {"p": "1"})
+        assert one != tree_digest(content_digest({"a": "1"}),
+                                  {"p": "1"})
+        assert one != tree_digest(content_digest({"a": "1", "b": "2"}),
+                                  {"p": "2"})
+
+    def test_source_tree_digests_each_file(self, tree):
+        """``SourceTree`` keeps each file's sha256 and builds the
+        content digest from the ``(module, file digest)`` pairs."""
+        source = SourceTree(tree, PKG)
+        assert list(source.files) == ["pkg", "pkg.a", "pkg.b", "pkg.c"]
+        for module, (path, data, digest) in source.files.items():
+            assert data == Path(path).read_bytes()
+            assert digest == hashlib.sha256(data).hexdigest()
+        assert source.digest == content_digest(
+            {m: f[2] for m, f in source.files.items()})
 
     def test_store_is_atomic_and_reloadable(self, tmp_path):
         cache = AnalysisCache(tmp_path / "c")
@@ -382,6 +487,29 @@ class TestKeying:
             "key": "key1", "passes": {"typestate": []}}
         assert cache.load_module("m", "other-key") is None
         assert cache.load_module("never-stored", "key1") is None
+
+    def test_interleaved_writers_each_land(self, tmp_path,
+                                           monkeypatch):
+        """Writer B runs whole between writer A's temp write and A's
+        replace.  Each has its own temp file, so neither moves the
+        other's: both writes succeed, the last replace wins, and no
+        temp file is left behind."""
+        cache = AnalysisCache(tmp_path / "c")
+        real = os.replace
+        nested = []
+
+        def replace(src, dst):
+            if not nested:
+                nested.append(src)
+                cache.write_stats({"writer": "B"})
+            real(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        cache.write_stats({"writer": "A"})
+        assert nested
+        assert cache.read_stats() == {"writer": "A"}
+        assert sorted(p.name for p in cache.dir.iterdir()) == \
+            ["stats.json"]
 
     def test_stats_roundtrip(self, tmp_path):
         cache = AnalysisCache(tmp_path / "c")

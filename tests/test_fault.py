@@ -114,6 +114,57 @@ class TestCopyOnWrite:
         assert kernel.vm.objects.shadows_created == before
 
 
+class TestErrantSubscriber:
+    """An event subscriber that raises mid-fault fails that fault, but
+    never strands its busy page off every queue: the same write retried
+    succeeds, and every frame is still free, queued or wired."""
+
+    @staticmethod
+    def _raise_on(kernel, kind):
+        def subscriber(event):
+            if (event.subsystem, event.kind) == ("vm", kind):
+                raise RuntimeError(f"subscriber failed on vm/{kind}")
+        return kernel.events.subscribe(subscriber)
+
+    @staticmethod
+    def _frames(kernel):
+        resident = kernel.vm.resident
+        resident.check_consistency()
+        assert resident.free_count + resident.resident_count == \
+            kernel.machine.physmem.total_frames
+        assert resident.resident_count == resident.active_count + \
+            resident.inactive_count + resident.wired_count
+        return resident.resident_count
+
+    def _fail_then_retry(self, kernel, task, addr, kind):
+        before = self._frames(kernel)
+        subscriber = self._raise_on(kernel, kind)
+        with pytest.raises(RuntimeError, match=f"vm/{kind}"):
+            kernel.fault(task, addr, FaultType.WRITE)
+        kernel.events.unsubscribe(subscriber)
+        assert self._frames(kernel) == before
+        outcome = kernel.fault(task, addr, FaultType.WRITE)
+        assert self._frames(kernel) == before + 1
+        return outcome
+
+    def test_zero_fill_subscriber_error(self, kernel, task):
+        addr = task.vm_allocate(PAGE)
+        outcome = self._fail_then_retry(kernel, task, addr, "zero_fill")
+        assert outcome.zero_filled
+        task.write(addr, b"retried")
+        assert task.read(addr, 7) == b"retried"
+
+    def test_cow_subscriber_error(self, kernel, task):
+        addr = task.vm_allocate(PAGE)
+        task.write(addr, b"original")
+        dst = task.vm_map.copy_region(addr, PAGE, task.vm_map)
+        outcome = self._fail_then_retry(kernel, task, dst, "cow")
+        assert outcome.cow_copied
+        task.write(dst, b"modified")
+        assert task.read(addr, 8) == b"original"
+        assert task.read(dst, 8) == b"modified"
+
+
 class TestShadowChainFaults:
     def test_read_through_two_levels(self, kernel, task):
         addr = task.vm_allocate(PAGE)
