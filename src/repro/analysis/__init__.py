@@ -2,11 +2,12 @@
 
 * :mod:`repro.analysis.layering` — AST import lint for the paper's
   module boundary (machine-independent code vs. the pmap layer vs. the
-  hardware substrate);
+  hardware substrate), the ``layering`` whole-tree pass;
 * :mod:`repro.analysis.invariants` — runtime sanitizer proving every
   pmap/TLB translation is a subset of machine-independent truth;
 * :mod:`repro.analysis.race` — the concurrency sanitizer: the
-  ``#: guarded-by`` contract (its static lint), the ``atomicity`` flow
+  ``#: guarded-by`` contract (its static lint, the ``concurrency``
+  whole-tree pass), the ``atomicity`` flow
   pass (stale shared state across a may-yield call, judged on the
   shared call-graph summaries), and a vector-clock happens-before
   checker for TLB shootdown;
@@ -18,8 +19,10 @@
   recording/replay) and bounded DFS exploration of interleavings;
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.flow` — the AST→CFG
   dataflow framework (exception edges, yield points, the one
-  thread-body and yield-primitive rule, forward worklist solver)
-  shared by the flow passes;
+  thread-body and yield-primitive rule, forward worklist solver) and
+  the one runner of every static pass, with one cache, one
+  :class:`~repro.analysis.flow.Finding` type and one reviewed
+  baseline;
 * :mod:`repro.analysis.typestate` — the one ownership engine, reported
   as two passes: ``lifecycle`` (acquire/release pairing of swap slots,
   vm_object references, resident pages, holding maps and port rights)
@@ -57,7 +60,7 @@ from repro.analysis.flow import (
     load_baseline,
     run_flow_passes,
 )
-from repro.analysis.layering import LintViolation, lint_package, lint_source_tree
+from repro.analysis.layering import lint_package, lint_source_tree
 from repro.analysis.matrix import (
     CellResult,
     explore_shootdown,
@@ -69,7 +72,6 @@ from repro.analysis.matrix import (
 from repro.analysis.race import (
     RaceDetector,
     RaceReport,
-    lint_concurrency,
     lint_guarded_by,
     lint_source_concurrency,
 )
@@ -86,7 +88,6 @@ __all__ = [
     "ExplorationResult",
     "Finding",
     "FlowReport",
-    "LintViolation",
     "RaceDetector",
     "RaceReport",
     "RecordingPolicy",
@@ -99,7 +100,6 @@ __all__ = [
     "explore_schedules",
     "explore_shootdown",
     "install_sanitizer",
-    "lint_concurrency",
     "lint_guarded_by",
     "lint_package",
     "lint_source_concurrency",

@@ -9,10 +9,11 @@ are content only, never mtimes, sizes or inodes.
 
 * **whole-tree fast path** — ``tree.json`` records, for each of the
   last :data:`RECENT_TREES` trees analyzed, a digest of the tree's
-  :func:`content_digest` plus every pass version (``lint.json``: the
-  lint versions), and that tree's raw findings.  When the digest
-  matches a remembered tree, the runner serves every result (the
-  whole-tree conformance result included) from ``tree.json`` alone
+  :func:`content_digest` plus every pass version, and that tree's raw
+  findings.  When the digest matches a remembered tree, the runner
+  serves every result (the whole-tree passes' results included:
+  conformance and the layering and concurrency lints) from
+  ``tree.json`` alone
   with *zero* analysis work: no decode, no parse, no call graph, no
   summary fixpoint.  Remembering several trees means a reverted edit
   or a deleted probe file is served whole too.  Only a miss parses,
@@ -37,7 +38,6 @@ Layout under the cache directory (default ``.repro-cache/``)::
 
     tree.json             recent tree digests + their raw findings
     modules/<dotted>.json per-module key + per-pass findings
-    lint.json             recent tree digests + layering/concurrency lint
     stats.json            last run's analyzed/cached counters
 """
 
@@ -55,7 +55,7 @@ CACHE_FORMAT = "2"
 
 DEFAULT_DIR = Path(".repro-cache")
 
-#: How many trees ``tree.json`` and ``lint.json`` remember.
+#: How many trees ``tree.json`` remembers.
 RECENT_TREES = 4
 
 
@@ -73,7 +73,7 @@ def content_digest(file_digests: dict[str, str]) -> str:
 
 
 def tree_digest(content: str, versions: dict[str, str]) -> str:
-    """A :func:`content_digest` plus one version set (passes' or lints')."""
+    """A :func:`content_digest` plus every pass version."""
     parts = [CACHE_FORMAT, content]
     parts += [f"{name}={ver}" for name, ver in sorted(versions.items())]
     return _sha(parts)
@@ -121,28 +121,23 @@ class AnalysisCache:
             os.unlink(tmp)
             raise
 
-    # -- whole-tree sections: the last few trees, keyed by digest ------------
+    # -- whole-tree section: the last few trees, keyed by digest ------------
 
-    def _load_recent(self, name: str, digest: str) -> Optional[dict]:
-        payload = self._read(self.dir / name) or {}
+    def load_tree(self, digest: str) -> Optional[dict]:
+        """The stored whole-tree result for *digest*, if remembered."""
+        payload = self._read(self.dir / "tree.json") or {}
         for entry in payload.get("trees", ()):
             if isinstance(entry, dict) and entry.get("digest") == digest:
                 return entry
         return None
 
-    def _store_recent(self, name: str, digest: str, entry: dict) -> None:
-        payload = self._read(self.dir / name) or {}
-        kept = [e for e in payload.get("trees", ())
-                if isinstance(e, dict) and e.get("digest") != digest]
-        self._write(self.dir / name, {"trees": kept[-(RECENT_TREES - 1):]
-                                      + [dict(entry, digest=digest)]})
-
-    def load_tree(self, digest: str) -> Optional[dict]:
-        """The stored whole-tree result for *digest*, if remembered."""
-        return self._load_recent("tree.json", digest)
-
     def store_tree(self, digest: str, payload: dict) -> None:
-        self._store_recent("tree.json", digest, payload)
+        stored = self._read(self.dir / "tree.json") or {}
+        kept = [e for e in stored.get("trees", ())
+                if isinstance(e, dict) and e.get("digest") != digest]
+        self._write(self.dir / "tree.json",
+                    {"trees": kept[-(RECENT_TREES - 1):]
+                     + [dict(payload, digest=digest)]})
 
     # -- per-module section ---------------------------------------------------
 
@@ -157,17 +152,6 @@ class AnalysisCache:
                      findings_by_pass: dict[str, list[dict]]) -> None:
         self._write(self.modules_dir / f"{module}.json",
                     {"key": key, "passes": findings_by_pass})
-
-    # -- lint section -----------------------------------------------------------
-
-    def load_lint(self, digest: str) -> Optional[dict]:
-        """The cached layering/concurrency lint results (as strings),
-        when their tree digest is remembered."""
-        return self._load_recent("lint.json", digest)
-
-    def store_lint(self, digest: str, violations: list[str]) -> None:
-        self._store_recent("lint.json", digest,
-                           {"violations": violations})
 
     # -- stats -----------------------------------------------------------------
 

@@ -1,21 +1,22 @@
-"""Dataflow pass framework: findings, solver, baseline, runner.
+"""Static pass framework: findings, solver, baseline, runner.
 
-This is the shared machinery behind the six flow passes: the
-``lifecycle`` and ``typestate`` rule groups of the one ownership engine
-in :mod:`~repro.analysis.typestate`, :mod:`~repro.analysis.conformance`,
-:mod:`~repro.analysis.errorpaths`, :mod:`~repro.analysis.determinism`,
-and the ``atomicity`` pass in :mod:`~repro.analysis.race`:
+This is the one runner behind every static check of ``repro check``.
+Five passes run per module: the ``lifecycle`` and ``typestate`` rule
+groups of the one ownership engine in :mod:`~repro.analysis.typestate`,
+:mod:`~repro.analysis.errorpaths`, :mod:`~repro.analysis.determinism`
+and the ``atomicity`` pass in :mod:`~repro.analysis.race`.  Three run
+over the whole tree: :mod:`~repro.analysis.conformance`, the MD/MI
+import contract (``layering``, :mod:`~repro.analysis.layering`) and the
+guarded-by contract (``concurrency``, :mod:`~repro.analysis.race`).
 
-* :class:`Finding` — one diagnosed problem, printable in the same
-  ``module:line: [rule] message`` shape as the layering lint's
-  :class:`~repro.analysis.layering.LintViolation`;
+* :class:`Finding` — one diagnosed problem, printed as
+  ``module:line: [pass/rule] message``;
 * :class:`AnalysisError` — a pass that *crashed* rather than found;
   ``repro check`` treats these as failures, never as a clean run;
 * :func:`solve_forward` — a generic forward worklist solver over the
   CFGs built by :mod:`repro.analysis.cfg`;
 * :class:`SourceTree` — one run's source files, each read and hashed
-  once and each module parsed at most once, shared by the lints and
-  the passes;
+  once and each module parsed at most once, shared by every pass;
 * a reviewed-suppression **baseline** (``flow_baseline.txt`` next to
   this module): triaged false positives are recorded there with a
   reason instead of silencing the rule globally;
@@ -77,8 +78,8 @@ class FlowReport:
     findings: list[Finding] = field(default_factory=list)
     errors: list[AnalysisError] = field(default_factory=list)
     suppressed: list[tuple[Finding, str]] = field(default_factory=list)
-    #: Module names actually analyzed this run ("#conformance" stands
-    #: for the whole-tree conformance pass).
+    #: Module names actually analyzed this run (``#<pass>`` stands for
+    #: a whole-tree pass's result, e.g. ``#conformance``).
     analyzed: list[str] = field(default_factory=list)
     #: Module names served from the incremental cache.
     cached: list[str] = field(default_factory=list)
@@ -163,10 +164,10 @@ class SourceTree:
     and hashed (sha256) as it is read; each module is parsed on first
     use and at most once, straight from its bytes.
 
-    ``repro check`` builds one per run and hands it to both lints and
-    the flow passes, so everything hashed, linted, parsed and split
-    into lines is one version of each file, and every cache key comes
-    from the per-file digests (:attr:`digest` is the tree's; a run
+    :func:`run_flow_passes` builds one per run and hands it to every
+    pass, so everything hashed, parsed and split into lines is one
+    version of each file, and every cache key comes from the per-file
+    digests (:attr:`digest` is the tree's; a run
     served from the cache parses and decodes nothing).  Never keep one
     across runs: it holds the parsed trees and, on their nodes, the
     walker's child index (:func:`repro.analysis.cfg.children`)."""
@@ -247,7 +248,7 @@ def load_baseline(path: Optional[Path] = None) -> list[BaselineEntry]:
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in line.split("|")]
-        if len(parts) != 4:
+        if len(parts) != 4 or not all(parts):
             raise ValueError(f"malformed baseline line: {raw!r} "
                              f"(want 'rule | module | where | reason')")
         entries.append(BaselineEntry(*parts, lineno=lineno))
@@ -316,17 +317,35 @@ def _module_pass_registry() -> dict[str, _ModulePass]:
     }
 
 
+def _tree_pass_registry(package: str) -> dict[str, tuple]:
+    """The whole-tree passes in scope for *package*: ``name -> (version,
+    run(source) -> findings)``.  The two lints encode ``repro``'s own
+    layers and guarded classes, so they check ``repro`` alone.  They
+    are looked up on the :mod:`repro.analysis` package at call time,
+    so a wrapper installed there sees every call."""
+    import repro.analysis as analysis
+    from repro.analysis import conformance, layering, race
+
+    passes = {"conformance": (conformance.PASS_VERSION,
+                              conformance.run_pass)}
+    if package == "repro":
+        passes["layering"] = (
+            layering.LINT_VERSION,
+            lambda source: analysis.lint_source_tree(source))
+        passes["concurrency"] = (
+            race.LINT_VERSION,
+            lambda source: analysis.lint_source_concurrency(source))
+    return passes
+
+
 #: Every pass :func:`run_flow_passes` runs by default, in report order.
 PASS_NAMES = ("lifecycle", "conformance", "errorpaths", "determinism",
-              "typestate", "atomicity")
+              "typestate", "atomicity", "layering", "concurrency")
 
 #: The five passes ``perf/`` times one by one: its per-layer metric
 #: table is keyed on this tuple, so it gains ``atomicity`` together
-#: with that table.
+#: with that table (it times the two lints on their own).
 FLOW_PASS_NAMES = PASS_NAMES[:5]
-
-#: Pseudo-module name for the whole-tree conformance result.
-CONFORMANCE_KEY = "#conformance"
 
 
 def _finding_dicts(findings: Iterable[Finding]) -> list[dict]:
@@ -392,99 +411,88 @@ def _pool_analyze(module: str) -> tuple[str, dict, list]:
     return module, by_pass, errors
 
 
-def _run_conformance(source: SourceTree) -> list[Finding]:
-    from repro.analysis import conformance
-    return conformance.run_pass(source)
-
-
-def _tree_fast_path(cache, digest: str, names: tuple,
-                    modules: list) -> Optional[tuple[dict, list]]:
+def _tree_fast_path(cache, digest: str,
+                    names: tuple) -> Optional[dict[str, list[Finding]]]:
     """Serve the whole run from cache when the tree digest is
-    remembered: no parsing, no call graph, no summaries.  Returns (raw
-    findings by source, cached names) or None on a miss."""
+    remembered: no parsing, no call graph, no summaries.  Returns the
+    raw findings by source, or None on a miss."""
     tree_payload = cache.load_tree(digest)
     if tree_payload is None \
             or not set(tree_payload.get("passes", ())) >= set(names):
         return None
-    raw = {source: [f for f in _findings_from(found) if f.pass_name in names]
-           for source, found in tree_payload.get("findings", {}).items()}
-    cached = list(modules)
-    if "conformance" in names:
-        cached.append(CONFORMANCE_KEY)
-    return raw, cached
+    return {source: [f for f in _findings_from(found)
+                     if f.pass_name in names]
+            for source, found in tree_payload.get("findings", {}).items()}
 
 
 def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
                     passes: Optional[Iterable[str]] = None,
                     baseline: Optional[Path] = None,
                     cache_dir: Optional[Path] = None,
-                    jobs: Optional[int] = None,
-                    source: Optional[SourceTree] = None) -> FlowReport:
-    """Run the flow passes over the source tree and apply the baseline.
+                    jobs: Optional[int] = None) -> FlowReport:
+    """Run the passes over the source tree and apply the baseline.
 
-    A pass that raises is recorded as an :class:`AnalysisError` — the
-    report is then *not* clean, which is what ``repro check``'s exit
-    code keys off.  Findings matching a reviewed baseline entry are
-    moved to ``report.suppressed`` with the recorded reason.
+    The tree (the installed ``repro`` package by default) is read once
+    into a :class:`SourceTree` that every pass shares.  A pass that
+    raises is recorded as an :class:`AnalysisError` — the report is
+    then *not* clean, which is what ``repro check``'s exit code keys
+    off.  Findings matching a reviewed baseline entry are moved to
+    ``report.suppressed`` with the recorded reason.
 
     With *cache_dir*, results are served incrementally from an
     :class:`repro.analysis.cache.AnalysisCache`: an unchanged tree is
     served after one read and hash of each source, with no parsing or
     analysis at all, and a changed module re-analyzes only itself
     plus the modules whose summary dependencies it reaches (see the
-    cache module docs).  ``report.analyzed`` / ``report.cached`` say
-    which modules went which way.  *jobs* fans cold modules out over a
-    fork pool (:func:`imap_cells`); cached values are raw findings, so
-    the baseline always applies fresh.  *source* is the run's
-    :class:`SourceTree` when the caller already read one (then *root*
-    and *package* are its own); by default the runner reads its own.
+    cache module docs); the whole-tree passes then run again.
+    ``report.analyzed`` / ``report.cached`` say which modules went
+    which way.  *jobs* fans cold modules out over a fork pool
+    (:func:`imap_cells`); cached values are raw findings, so the
+    baseline always applies fresh.
     """
     global _POOL_STATE
     report = FlowReport()
     names = tuple(passes) if passes is not None else PASS_NAMES
     try:
         registry = _module_pass_registry()
+        tree_passes = _tree_pass_registry(package)
         entries = load_baseline(baseline)
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
     for name in names:
-        if name not in registry and name != "conformance":
+        if name not in PASS_NAMES:
             report.errors.append(AnalysisError(
-                name, f"unknown pass (known: "
-                      f"{sorted(registry) + ['conformance']})"))
+                name, f"unknown pass (known: {sorted(PASS_NAMES)})"))
     if report.errors:
         return report
     module_names = tuple(n for n in names if n in registry)
+    tree_names = tuple(n for n in names if n in tree_passes)
 
     # Read and hash every source once: the tree digest, the parse, the
     # lines and the per-module keys all come from these bytes.
     try:
-        if source is None:
-            source = SourceTree(root, package)
+        source = SourceTree(root, package)
     except Exception as exc:
         report.errors.append(AnalysisError(
             "flow", f"{type(exc).__name__}: {exc}"))
         return report
-    package = source.package
     sources = source.files
-
-    versions = {n: mp.version for n, mp in registry.items()}
-    if "conformance" in names:
-        from repro.analysis import conformance
-        versions["conformance"] = conformance.PASS_VERSION
 
     cache = None
     digest = ""
     if cache_dir is not None:
         from repro.analysis.cache import AnalysisCache, tree_digest
         cache = AnalysisCache(cache_dir)
+        versions = {n: mp.version for n, mp in registry.items()}
+        versions.update((n, version)
+                        for n, (version, _run) in tree_passes.items())
         digest = tree_digest(source.digest, versions)
-        served = _tree_fast_path(cache, digest, names, list(sources))
+        served = _tree_fast_path(cache, digest, names)
         if served is not None:
-            raw_by_source, report.cached = served
-            _finish_report(report, raw_by_source, entries)
+            report.cached = [*sources, *(f"#{n}" for n in tree_names)]
+            _finish_report(report, served, entries)
             return report
 
     # Cold or partially-warm: parse, then build the interprocedural
@@ -552,14 +560,15 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
         if cache is not None and m not in errored_modules:
             cache.store_module(m, keys[m], by_pass)
 
-    if "conformance" in names:
+    for name in tree_names:
+        _version, run = tree_passes[name]
         try:
-            raw_by_source[CONFORMANCE_KEY] = _run_conformance(source)
-            report.analyzed.append(CONFORMANCE_KEY)
+            raw_by_source[f"#{name}"] = run(source)
+            report.analyzed.append(f"#{name}")
         except Exception as exc:
             tb = traceback.format_exception_only(type(exc),
                                                  exc)[-1].strip()
-            report.errors.append(AnalysisError("conformance", tb))
+            report.errors.append(AnalysisError(name, tb))
     if cache is not None and not report.errors:
         cache.store_tree(digest, {
             "passes": sorted(names),

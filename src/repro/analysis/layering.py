@@ -49,8 +49,10 @@ enforces the boundary as import rules:
   functions are deliberately excluded: they are the sanctioned way to
   break a load-order knot, and they cannot deadlock module init).
 
-Run it via ``python -m repro check --lint-only`` or
-:func:`lint_package` directly.
+It runs as the ``layering`` whole-tree pass of
+:func:`repro.analysis.flow.run_flow_passes` (``python -m repro check
+--lint-only``), or through :func:`lint_package` directly; each problem
+is a :class:`~repro.analysis.flow.Finding` of pass ``layering``.
 """
 
 from __future__ import annotations
@@ -61,8 +63,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.analysis.callgraph import strongly_connected
 from repro.analysis.cfg import NodeVisitor
-from repro.analysis.flow import SourceTree
+from repro.analysis.flow import Finding, SourceTree
 
 #: Machine-independent packages (relative to the package root).
 MI_PACKAGES = ("core", "pager", "ipc")
@@ -94,21 +97,14 @@ UPPER_LAYERS = ("pager", "ipc", "fs", "unix", "bench", "baseline",
                 "cli")
 
 
-#: Part of the lint cache key: bump on any rule/behavior change.
+#: Part of the cache key: bump on any rule/behavior change.
 LINT_VERSION = "3"
 
 
-@dataclass(frozen=True)
-class LintViolation:
+def _violation(module: str, lineno: int, rule: str,
+               message: str) -> Finding:
     """One broken layering rule at one import site."""
-
-    module: str
-    lineno: int
-    rule: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.module}:{self.lineno}: [{self.rule}] {self.message}"
+    return Finding("layering", module, lineno, rule, "", message)
 
 
 @dataclass(frozen=True)
@@ -227,68 +223,9 @@ def _within(module: str, layer: str) -> bool:
     return module == layer or module.startswith(layer + ".")
 
 
-def _find_cycles(graph: dict[str, set[str]]) -> list[list[str]]:
-    """Tarjan's strongly connected components; returns the non-trivial
-    SCCs (every member list is one genuine import cycle)."""
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = [0]
-    cycles: list[list[str]] = []
-
-    def strongconnect(node: str) -> None:
-        # Iterative DFS: recursion depth would otherwise track the
-        # longest import chain.
-        work = [(node, iter(sorted(graph.get(node, ()))))]
-        index[node] = lowlink[node] = counter[0]
-        counter[0] += 1
-        stack.append(node)
-        on_stack.add(node)
-        while work:
-            current, edges = work[-1]
-            advanced = False
-            for succ in edges:
-                if succ not in graph:
-                    continue
-                if succ not in index:
-                    index[succ] = lowlink[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(sorted(graph.get(succ, ())))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    lowlink[current] = min(lowlink[current], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[current])
-            if lowlink[current] == index[current]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == current:
-                        break
-                if len(component) > 1:
-                    cycles.append(sorted(component))
-                elif current in graph.get(current, ()):
-                    cycles.append([current])
-
-    for node in sorted(graph):
-        if node not in index:
-            strongconnect(node)
-    return cycles
-
-
 def lint_package(root: Path, package: str = "repro",
                  source: Optional[SourceTree] = None
-                 ) -> list[LintViolation]:
+                 ) -> list[Finding]:
     """Lint the package rooted at *root*; returns all violations.
 
     *root* is the directory containing the package's ``__init__.py``
@@ -302,7 +239,7 @@ def lint_package(root: Path, package: str = "repro",
     concrete_pmaps = {m for m in known_rel
                       if m and _within(m, "pmap")
                       and m != "pmap" and m not in PMAP_INTERFACE}
-    violations: list[LintViolation] = []
+    violations: list[Finding] = []
     graph: dict[str, set[str]] = {m: set() for m in imports}
 
     for module, sites in sorted(imports.items()):
@@ -314,17 +251,17 @@ def lint_package(root: Path, package: str = "repro",
         in_hw = _within(mod_rel, "hw")
         for site in sites:
             if site.target == "<syntax-error>":
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "syntax-error",
                     "module failed to parse"))
                 continue
             if site.star:
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "star-import",
                     f"'from {site.target} import *' hides the import "
                     f"graph from readers and tools"))
             if _within(site.target, "tests"):
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "test-import",
                     f"imports {site.target}; shipped code never "
                     f"depends on the test suite (tests reach the "
@@ -339,13 +276,13 @@ def lint_package(root: Path, package: str = "repro",
                 # x") resolves its base to itself; that is not a cycle.
                 graph[module].add(site.target)
             if not in_pmap and (tgt == "pmap" or tgt in concrete_pmaps):
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "concrete-pmap-import",
                     f"imports {site.target}; outside the pmap layer "
                     f"only pmap.interface and pmap.registry are "
                     f"importable (Table 3-3 is the whole contract)"))
             if in_mi and _within(tgt, "hw") and tgt not in HW_SUBSTRATE:
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "mi-imports-hw-internals",
                     f"machine-independent code imports {site.target}; "
                     f"TLB/CPU/MMU state is reachable only through the "
@@ -353,7 +290,7 @@ def lint_package(root: Path, package: str = "repro",
                     f"{', '.join(HW_SUBSTRATE)})"))
             if in_pmap:
                 if _within(tgt, "core") and tgt not in VOCABULARY:
-                    violations.append(LintViolation(
+                    violations.append(_violation(
                         module, site.lineno, "pmap-imports-mi-state",
                         f"pmap module imports {site.target}; MD code "
                         f"may use only the shared vocabulary "
@@ -361,7 +298,7 @@ def lint_package(root: Path, package: str = "repro",
                         f"state arrives through Table 3-3 arguments"))
                 elif (any(_within(tgt, up) for up in UPPER_LAYERS)
                         and tgt not in TELEMETRY):
-                    violations.append(LintViolation(
+                    violations.append(_violation(
                         module, site.lineno, "pmap-imports-upper-layer",
                         f"pmap module imports {site.target}, which "
                         f"sits above the pmap layer"))
@@ -369,7 +306,7 @@ def lint_package(root: Path, package: str = "repro",
                     and (_within(mod_rel, "sched")
                          or any(_within(mod_rel, pkg)
                                 for pkg in MI_PACKAGES))):
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "hook-inversion",
                     f"{module} imports {site.target}; the sanitizer "
                     f"attaches by subscribing to the kernel's event "
@@ -378,24 +315,28 @@ def lint_package(root: Path, package: str = "repro",
             if in_hw and tgt is not None and tgt != "" \
                     and not _within(tgt, "hw") and tgt not in VOCABULARY \
                     and tgt not in TELEMETRY:
-                violations.append(LintViolation(
+                violations.append(_violation(
                     module, site.lineno, "hw-imports-upper-layer",
                     f"hardware substrate imports {site.target}; hw "
                     f"may depend only on itself, the vocabulary "
                     f"({', '.join(VOCABULARY)}) and the event bus "
                     f"({', '.join(TELEMETRY)})"))
 
-    for cycle in _find_cycles(graph):
-        violations.append(LintViolation(
-            cycle[0], 0, "import-cycle",
-            "module-level import cycle: " + " -> ".join(cycle)))
+    # The graph holds no self-imports, so every cycle is a strongly
+    # connected component of more than one module.
+    for component in strongly_connected(graph):
+        if len(component) > 1:
+            cycle = sorted(component)
+            violations.append(_violation(
+                cycle[0], 0, "import-cycle",
+                "module-level import cycle: " + " -> ".join(cycle)))
 
     violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
     return violations
 
 
 def lint_source_tree(source: Optional[SourceTree] = None
-                     ) -> list[LintViolation]:
+                     ) -> list[Finding]:
     """Lint the installed ``repro`` package itself (*source*: the
     run's :class:`~repro.analysis.flow.SourceTree` of it, if read)."""
     if source is None:

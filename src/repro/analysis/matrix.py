@@ -47,13 +47,6 @@ from repro.inject.injector import FaultInjector
 from repro.pmap.interface import ShootdownStrategy
 from repro.sched.scheduler import SchedulePolicy, Scheduler
 
-#: Machine parameters per swept architecture: the bench table minus
-#: the ``sun3_vac`` cache variant, one row per distinct pmap.
-SWEEP_ARCHS: dict[str, dict] = {
-    arch: params for arch, params in BENCH_ARCHS.items()
-    if arch != "sun3_vac"
-}
-
 #: Default base seeds; any 32-bit value works.
 FAULT_SEED = 0xFA17
 RACE_SEED = 0xACE5
@@ -64,7 +57,7 @@ FAULT_TRIES = 8
 
 def default_archs(quick: bool = False) -> tuple[str, ...]:
     """The swept architectures: three MMU shapes when *quick*."""
-    return QUICK_ARCHS if quick else tuple(SWEEP_ARCHS)
+    return QUICK_ARCHS if quick else tuple(BENCH_ARCHS)
 
 
 def cell_seed(base: int, *parts: str) -> int:
@@ -79,7 +72,7 @@ def boot(arch: str,
     """Boot *arch*'s swept machine with *machine* overrides: a bare
     :class:`MachKernel`, or a :class:`MachSUT` when *sut*."""
     spec = make_spec(name=f"sweep-{arch}", pmap_name=arch,
-                     **{**SWEEP_ARCHS[arch], **machine})
+                     **{**BENCH_ARCHS[arch], **machine})
     system = MachSUT if sut else MachKernel
     return system(spec, shootdown=strategy)
 
@@ -268,7 +261,7 @@ def sweep_line(result: CellResult) -> str:
 def run_sweeps(archs=None, verbose: bool = False,
                jobs: Optional[int] = None) -> list[CellResult]:
     """Every (architecture, check scenario) row, sanitizer armed."""
-    rows = [sweep_row(arch, name) for arch in (archs or SWEEP_ARCHS)
+    rows = [sweep_row(arch, name) for arch in (archs or BENCH_ARCHS)
             for name in CHECK]
     return run_matrix(rows, jobs, sweep_line if verbose else None)
 

@@ -11,7 +11,9 @@ layering and end-state invariants to *time*.
 
 Static half (stdlib ``ast``):
 
-* **guarded-by contract** — :func:`lint_concurrency`.  Shared mutable
+* **guarded-by contract** — :func:`lint_guarded_by`, run as the
+  ``concurrency`` whole-tree pass of
+  :func:`repro.analysis.flow.run_flow_passes`.  Shared mutable
   attributes on ``MachKernel``, ``AddressMap``, ``VMObject`` and
   ``ResidentPageTable`` are declared with ``#: guarded-by
   <discipline>`` comments; every mutation outside the owning module is
@@ -70,7 +72,7 @@ from repro.analysis.callgraph import FunctionInfo
 from repro.analysis.cfg import ctx_method, ctx_params, \
     is_yield_primitive, walk, walk_no_lambda
 from repro.analysis.flow import Finding, SourceTree
-from repro.analysis.layering import LintViolation, _strip, _within
+from repro.analysis.layering import _strip, _within
 from repro.analysis.typestate import AnalysisContext, build_context
 from repro.core.kernel import MachKernel
 from repro.pmap.interface import ShootdownStrategy
@@ -130,6 +132,13 @@ DISCIPLINES: dict[str, tuple[str, ...]] = {
     "kernel-funnel": (),
 }
 
+
+def _violation(module: str, lineno: int, rule: str,
+               message: str) -> Finding:
+    """One broken guarded-by rule."""
+    return Finding("concurrency", module, lineno, rule, "", message)
+
+
 _GUARD_COMMENT = re.compile(r"#:?\s*guarded-by\b")
 _GUARD_RE = re.compile(r"#:\s*guarded-by\s+([A-Za-z][A-Za-z0-9_-]*)\s*$")
 
@@ -149,14 +158,14 @@ def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
                         class_names: Sequence[str]
                         ) -> tuple[dict[str, dict[str, GuardDecl]],
                                    dict[str, set[str]],
-                                   list[LintViolation],
+                                   list[Finding],
                                    set[int]]:
     """Read one parsed guarded module (*lines* is its source text):
     declarations, full attribute sets, malformed-annotation
     violations, and consumed annotation lines."""
     decls: dict[str, dict[str, GuardDecl]] = {}
     attrs: dict[str, set[str]] = {}
-    violations: list[LintViolation] = []
+    violations: list[Finding] = []
     consumed: set[int] = set()
     for node in tree.body:
         if not isinstance(node, ast.ClassDef) or node.name not in class_names:
@@ -194,7 +203,7 @@ def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
                     consumed.add(lineno)
                     match = _GUARD_RE.search(text.strip())
                     if match is None:
-                        violations.append(LintViolation(
+                        violations.append(_violation(
                             module, lineno, "malformed-guard",
                             f"unparseable guard annotation "
                             f"{text.strip()!r}; expected "
@@ -202,7 +211,7 @@ def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
                         continue
                     discipline = match.group(1)
                     if discipline not in DISCIPLINES:
-                        violations.append(LintViolation(
+                        violations.append(_violation(
                             module, lineno, "malformed-guard",
                             f"unknown discipline {discipline!r} on "
                             f"{node.name}.{target.attr}; known: "
@@ -214,7 +223,7 @@ def _parse_class_guards(tree: ast.Module, lines: list[str], module: str,
     # Any guard-looking comment not consumed above is unattached.
     for lineno, text in enumerate(lines, start=1):
         if _GUARD_COMMENT.search(text) and lineno not in consumed:
-            violations.append(LintViolation(
+            violations.append(_violation(
                 module, lineno, "malformed-guard",
                 "guard annotation is not attached to a 'self.<attr>' "
                 "assignment in the __init__ of a guarded class"))
@@ -232,7 +241,7 @@ def _receiver_name(node: ast.expr) -> Optional[str]:
 def lint_guarded_by(root: Path, package: str = "repro",
                     guarded: Optional[dict[str, tuple[str, ...]]] = None,
                     source: Optional[SourceTree] = None
-                    ) -> list[LintViolation]:
+                    ) -> list[Finding]:
     """Check every attribute store in the tree against the guarded-by
     declarations; returns all violations (empty list = clean).
     *source* is the run's already-read tree of *root*, if any."""
@@ -249,11 +258,11 @@ def lint_guarded_by(root: Path, package: str = "repro",
     decls: dict[str, dict[str, GuardDecl]] = {}
     attrs: dict[str, set[str]] = {}
     owner_of: dict[str, str] = {}
-    violations: list[LintViolation] = []
+    violations: list[Finding] = []
     for rel, class_names in guarded.items():
         module = f"{package}.{rel}"
         if module not in files:
-            violations.append(LintViolation(
+            violations.append(_violation(
                 module, 0, "malformed-guard",
                 f"guarded module {rel} not found under {root}"))
             continue
@@ -294,7 +303,7 @@ def lint_guarded_by(root: Path, package: str = "repro",
                         continue
                     decl = decls.get(cls, {}).get(target.attr)
                     if decl is None:
-                        violations.append(LintViolation(
+                        violations.append(_violation(
                             module, node.lineno,
                             "undeclared-shared-mutable",
                             f"mutates {cls}.{target.attr} (via "
@@ -305,7 +314,7 @@ def lint_guarded_by(root: Path, package: str = "repro",
                     allowed = (owner,) + DISCIPLINES[decl.discipline]
                     if not any(_within(mod_rel, prefix)
                                for prefix in allowed):
-                        violations.append(LintViolation(
+                        violations.append(_violation(
                             module, node.lineno, "guarded-by",
                             f"mutates {cls}.{target.attr} (guarded-by "
                             f"{decl.discipline}) from {module}; "
@@ -315,26 +324,17 @@ def lint_guarded_by(root: Path, package: str = "repro",
     return violations
 
 
-def lint_concurrency(root: Path, package: str = "repro",
-                     source: Optional[SourceTree] = None
-                     ) -> list[LintViolation]:
-    """The static concurrency lint over a package tree: the guarded-by
-    contract.  (The atomicity rules run as the ``atomicity`` flow
-    pass, on the shared call-graph summaries.)"""
-    return lint_guarded_by(root, package, source=source)
-
-
-#: Part of the lint cache key: bump on any rule/behavior change.
+#: Part of the cache key: bump on any rule/behavior change.
 LINT_VERSION = "3"
 
 
 def lint_source_concurrency(source: Optional[SourceTree] = None
-                            ) -> list[LintViolation]:
-    """Run the concurrency lint on the installed ``repro`` package
+                            ) -> list[Finding]:
+    """Run the guarded-by lint on the installed ``repro`` package
     (*source*: the run's :class:`SourceTree` of it, if read)."""
     if source is None:
         source = SourceTree()
-    return lint_concurrency(source.root, source.package, source)
+    return lint_guarded_by(source.root, source.package, source=source)
 
 
 # ======================================================================

@@ -29,14 +29,15 @@ Commands:
   worst-percentile faults as Chrome trace_event JSON; ``--pager``
   runs the pager-stall storm instead and exits 1 when any cell's v2
   p99 loses to its own serialized control;
-* ``check [--lint-only] [--report FILE] [--no-cache]`` — run the
-  static analyses over the source tree (MD/MI layering lint,
-  concurrency lint, and the six dataflow passes: resource lifecycle,
+* ``check [--lint-only] [--report FILE] [--no-cache]`` — run every
+  static pass over the source tree through one runner
+  (:func:`repro.analysis.flow.run_flow_passes`: resource lifecycle,
   pmap MI-contract conformance, error-path completeness, determinism,
-  interprocedural typestate, atomicity), then the runtime invariant
-  sweeps on all five pmap architectures (see :mod:`repro.analysis`);
-  results are cached under ``.repro-cache/`` so unchanged modules are
-  not re-analyzed (``--no-cache`` disables); ``--report`` writes a
+  interprocedural typestate, atomicity, the MD/MI layering lint and
+  the guarded-by concurrency lint), then the runtime invariant sweeps
+  on all six pmap architectures (see :mod:`repro.analysis`); results
+  are cached under ``.repro-cache/`` so unchanged modules are not
+  re-analyzed (``--no-cache`` disables); ``--report`` writes a
   versioned JSON report; a crashing analysis is reported as an
   analysis error, never as a clean tree;
 * ``faultsweep [--quick] [--seed N]`` — the fault-injection survival
@@ -59,7 +60,6 @@ from repro import hw
 from repro.analysis.matrix import (
     FAULT_SEED,
     RACE_SEED,
-    SWEEP_ARCHS,
     default_archs,
     explore_shootdown,
     run_faultsweep,
@@ -474,96 +474,28 @@ def cmd_storm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_tree_digest(source):
-    """The content digest of *source* (the run's
-    :class:`~repro.analysis.flow.SourceTree`) plus the lint versions —
-    the key under which the layering/concurrency lint results are
-    cached.  None (cache miss) when there is no tree or anything goes
-    wrong; the lints then just run."""
-    if source is None:
-        return None
-    try:
-        from repro.analysis.cache import tree_digest
-        from repro.analysis.layering import LINT_VERSION as LAYERING_VERSION
-        from repro.analysis.race import LINT_VERSION as RACE_VERSION
-
-        return tree_digest(source.digest,
-                           {"lint:layering": LAYERING_VERSION,
-                            "lint:race": RACE_VERSION})
-    except Exception:
-        return None
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: static analysis, then invariant sweeps."""
     from time import perf_counter
 
-    from repro.analysis import (
-        FlowReport,
-        lint_source_concurrency,
-        lint_source_tree,
-        run_flow_passes,
-    )
+    from repro.analysis import FlowReport, run_flow_passes
     from repro.analysis.cache import DEFAULT_DIR, AnalysisCache
-    from repro.analysis.flow import PASS_NAMES, SourceTree
+    from repro.analysis.flow import PASS_NAMES
     from repro.analysis.report import render_report
 
     cache_dir = None if args.no_cache else DEFAULT_DIR
     started = perf_counter()
     problems: list[str] = []     # findings + analysis errors (--report)
 
-    def guarded(label, lint):
-        # A crashing analysis is itself a finding: reporting the tree
-        # clean because the checker died would be lying.
-        try:
-            return lint()
-        except Exception as exc:
-            problems.append(f"analysis error: {label} crashed: {exc!r}")
-            return []
-
-    # One read of the tree for the whole run: the lint digest, both
-    # lints and the flow passes all see this one version of each file
-    # (and each module is parsed at most once).  Should the read fail,
-    # each analysis reads for itself and reports the failure.
-    try:
-        source = SourceTree()
-    except Exception:
-        source = None
-    lint_cache = AnalysisCache(cache_dir) if cache_dir is not None \
-        else None
-    lint_digest = _lint_tree_digest(source) if lint_cache is not None \
-        else None
-    cached_lint = lint_cache.load_lint(lint_digest) \
-        if lint_digest is not None else None
-    if cached_lint is not None:
-        print("layering + concurrency lints: unchanged tree, served "
-              "from cache")
-        lint_lines = [str(v) for v in cached_lint.get("violations", [])]
-    else:
-        print("layering lint: checking the MD/MI import contract ...")
-        violations = guarded("layering lint",
-                             lambda: lint_source_tree(source))
-        print("concurrency lint: guarded-by contract ...")
-        violations += guarded("concurrency lint",
-                              lambda: lint_source_concurrency(source))
-        lint_lines = [str(v) for v in violations]
-        # Never cache a run where a lint crashed (problems non-empty
-        # here can only mean a crash) — the next run must retry it.
-        if lint_cache is not None and lint_digest is not None \
-                and not problems:
-            try:
-                lint_cache.store_lint(lint_digest, lint_lines)
-            except OSError:
-                pass
+    # One runner for every static check: it reads the tree once, and a
+    # pass that crashes is an analysis error, never a clean tree.
     print("flow passes: " + ", ".join(PASS_NAMES) + " ...")
     try:
-        flow = run_flow_passes(cache_dir=cache_dir, jobs=args.jobs,
-                               source=source)
+        flow = run_flow_passes(cache_dir=cache_dir, jobs=args.jobs)
     except Exception as exc:
         problems.append(f"analysis error: flow passes crashed: {exc!r}")
-        flow = FlowReport((), (), ())
+        flow = FlowReport()
 
-    problems += lint_lines
     problems += [str(f) for f in flow.findings]
     problems += [f"analysis error: {e.pass_name} pass crashed: "
                  f"{e.message}" for e in flow.errors]
@@ -603,7 +535,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
     archs = [args.arch] if args.arch else None
     print(f"\ninvariant sweeps: {', '.join(CHECK)} "
-          f"on {', '.join(archs or SWEEP_ARCHS)} ...")
+          f"on {', '.join(archs or BENCH_ARCHS)} ...")
     results = run_sweeps(archs=archs, verbose=True, jobs=args.jobs)
     failed = [r for r in results if not r.ok]
     print(f"\nsweeps: {len(results) - len(failed)}/{len(results)} "
@@ -785,7 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--no-cache", action="store_true",
                        help="ignore and don't write the incremental "
                             "analysis cache (.repro-cache/)")
-    check.add_argument("--arch", choices=list(SWEEP_ARCHS),
+    check.add_argument("--arch", choices=list(BENCH_ARCHS),
                        help="sweep a single pmap architecture")
     check.add_argument("--jobs", type=_positive_int, default=None,
                        help="run arch x workload sweep cells in N "
@@ -799,7 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="3 architectures, smaller workloads")
     fault.add_argument("--seed", type=_base_seed, default=FAULT_SEED,
                        help="base seed (every cell derives its own)")
-    fault.add_argument("--arch", choices=list(SWEEP_ARCHS),
+    fault.add_argument("--arch", choices=list(BENCH_ARCHS),
                        help="sweep a single pmap architecture")
     fault.add_argument("--scenario", choices=list(FAULTS),
                        help="run a single fault scenario")
@@ -816,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     races.add_argument("--seed", type=_base_seed, default=RACE_SEED,
                        help="base seed (every cell derives its own; "
                             "printed per cell for replay)")
-    races.add_argument("--arch", choices=list(SWEEP_ARCHS),
+    races.add_argument("--arch", choices=list(BENCH_ARCHS),
                        help="storm a single pmap architecture")
     races.add_argument("--strategy",
                        choices=[s.value for s in ShootdownStrategy],

@@ -79,8 +79,8 @@ def _run(tree, cache_dir):
 
 
 def _mods(names):
-    """Real modules only ("#conformance" stands for the whole-tree
-    conformance pass, which isn't a module)."""
+    """Real modules only (``#<pass>``, e.g. ``#conformance``, stands
+    for a whole-tree pass's result, which isn't a module)."""
     return sorted(n for n in names if not n.startswith("#"))
 
 
@@ -138,6 +138,20 @@ class TestWarmRun:
         assert warm.findings == cold.findings
         assert len(warm.cached) == \
             len(cold.analyzed) + len(cold.cached)
+
+
+class TestLintScope:
+    def test_lints_check_only_repro(self, tree, tmp_path):
+        """The layering and guarded-by lints encode ``repro``'s own
+        layers and guarded classes: on another package they neither
+        run nor report."""
+        report = _run(tree, tmp_path / "cache")
+        assert report.errors == []
+        assert [f for f in report.findings
+                + [f for f, _ in report.suppressed]
+                if f.pass_name in ("layering", "concurrency")] == []
+        assert [n for n in report.analyzed if n.startswith("#")] == [
+            "#conformance"]
 
 
 class TestOneReadPerFile:

@@ -21,12 +21,12 @@ from repro.analysis.invariants import (
     uninstall_sanitizer,
 )
 from repro.analysis.matrix import (
-    SWEEP_ARCHS,
     boot,
     run_row,
     sweep_line,
     sweep_row,
 )
+from repro.bench.testing import BENCH_ARCHS
 from repro.core.constants import VMProt
 from repro.core.kernel import MachKernel
 from repro.pmap.interface import ShootdownStrategy
@@ -47,15 +47,15 @@ class TestCleanKernelsPass:
     """After real workloads the checker must stay silent on every
     architecture — the sweeps behind ``python -m repro check``."""
 
-    @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
+    @pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
     def test_fork_cow_sweep(self, arch):
         _sweep(arch, "fork+COW")
 
-    @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
+    @pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
     def test_pageout_sweep(self, arch):
         _sweep(arch, "pageout-pressure")
 
-    @pytest.mark.parametrize("arch", sorted(SWEEP_ARCHS))
+    @pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
     def test_shootdown_sweep(self, arch):
         _sweep(arch, "shootdown")
 

@@ -15,26 +15,33 @@ from repro.analysis.flow import (
 from repro.cli import main
 
 
+@pytest.fixture(scope="module")
+def cold_report():
+    """One cold, uncached run of every pass over the shipped tree,
+    shared by the clean-tree tests."""
+    return run_flow_passes()
+
+
 class TestCleanTree:
-    def test_shipped_tree_is_clean(self):
-        report = run_flow_passes()
+    def test_shipped_tree_is_clean(self, cold_report):
+        report = cold_report
         assert report.findings == []
         assert report.errors == []
         assert report.clean
 
-    def test_suppressions_are_reviewed(self):
+    def test_suppressions_are_reviewed(self, cold_report):
         """Every baseline entry that fires carries a written reason."""
-        report = run_flow_passes()
+        report = cold_report
         assert report.suppressed        # the two triaged FPs
         for finding, reason in report.suppressed:
             assert isinstance(finding, Finding)
             assert len(reason) > 20
 
-    def test_no_stale_baseline_entries(self):
+    def test_no_stale_baseline_entries(self, cold_report):
         """An entry that no longer suppresses any current finding is
         suppression rot: the test names the stale file line so it can
         be deleted (not just which entry, but where)."""
-        report = run_flow_passes()
+        report = cold_report
         stale = [entry for entry in load_baseline()
                  if not any(entry.matches(f)
                             for f, _ in report.suppressed)]
@@ -45,13 +52,13 @@ class TestCleanTree:
             f"current finding matches; delete the line"
             for entry in stale)
 
-    def test_stale_entry_detection_fires(self):
+    def test_stale_entry_detection_fires(self, cold_report):
         """The staleness check itself must be able to go red."""
         entries = load_baseline()
         ghost = BaselineEntry("typestate/page-double-free",
                               "repro.no.such.module", "*",
                               "reviewed: never fires", lineno=999)
-        report = run_flow_passes()
+        report = cold_report
         stale = [entry for entry in entries + [ghost]
                  if not any(entry.matches(f)
                             for f, _ in report.suppressed)]
@@ -140,12 +147,41 @@ class TestCrashHandling:
         assert "lint: clean" not in out
 
 
+    def test_crashing_lint_fails_check_and_is_retried(
+            self, monkeypatch, tmp_path, capsys):
+        """The layering lint is a pass of the one runner: its crash
+        fails ``repro check``, the crashed tree is not cached, and the
+        next run re-runs the lint and is clean."""
+        import repro.analysis as analysis
+
+        def boom(source=None):
+            raise RuntimeError("lint exploded")
+
+        monkeypatch.chdir(tmp_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "lint_source_tree", boom)
+            assert main(["check", "--lint-only"]) == 1
+        out = capsys.readouterr().out
+        assert "analysis error: layering pass crashed" in out
+        assert "lint exploded" in out
+        assert "lint: clean" not in out
+
+        assert main(["check", "--lint-only"]) == 0
+        out = capsys.readouterr().out
+        assert "lint: clean" in out
+        # Every module is served from cache; the three whole-tree
+        # passes (conformance and both lints) run again.
+        assert "analyzed 3 module(s)" in out
+
+
 class TestBaseline:
     def test_malformed_line_raises(self, tmp_path):
         path = tmp_path / "baseline.txt"
-        path.write_text("rule-without-fields\n")
-        with pytest.raises(ValueError, match="malformed"):
-            load_baseline(path)
+        for line in ("rule-without-fields",
+                     "layering/star-import | repro.x | * |"):
+            path.write_text(line + "\n")
+            with pytest.raises(ValueError, match="malformed"):
+                load_baseline(path)
 
     def test_apply_splits_on_match(self):
         finding = Finding("lifecycle", "m", 3, "leak-on-return",
@@ -157,6 +193,31 @@ class TestBaseline:
         kept, suppressed = apply_baseline([finding, other], [entry])
         assert kept == [other]
         assert suppressed == [(finding, "reviewed: fine")]
+
+    def test_lint_finding_is_suppressed_by_an_entry(self, tmp_path):
+        """Lint findings go through the one baseline: a
+        ``layering/<rule>`` entry suppresses them like any pass's."""
+        root = tmp_path / "repro"
+        for rel, text in {"__init__.py": "", "core/__init__.py": "",
+                          "core/probe.py": "from repro.pmap import vax\n",
+                          "pmap/__init__.py": "",
+                          "pmap/vax.py": ""}.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        path = tmp_path / "baseline.txt"
+        path.write_text("layering/concrete-pmap-import | repro.core.probe "
+                        "| * | reviewed: a probe of the lint itself\n")
+
+        bare = run_flow_passes(root, passes=("layering",),
+                               baseline=tmp_path / "none.txt")
+        assert [(f.pass_name, f.rule) for f in bare.findings] == [
+            ("layering", "concrete-pmap-import")] * 2
+        report = run_flow_passes(root, passes=("layering",),
+                                 baseline=path)
+        assert report.clean
+        assert sorted(report.suppressed, key=str) == [
+            (f, "reviewed: a probe of the lint itself")
+            for f in sorted(bare.findings, key=str)]
 
     def test_wildcard_where(self):
         finding = Finding("determinism", "m", 1, "wall-clock", "f", "x")
@@ -181,6 +242,28 @@ class TestCli:
         assert payload["findings"] == []
         assert payload["problems"] == []
         assert payload["suppressed"] == 2
+
+    def test_report_lists_a_lint_finding(self, tmp_path, monkeypatch,
+                                         capsys):
+        """A layering finding is a ``Finding`` like any pass's: it fails
+        the check and the report files it under its pass."""
+        from repro.analysis import layering
+        from repro.analysis.report import load_report
+
+        # Without hw.physmem in the substrate contract, the resident
+        # page table's frame-store import breaks the MD/MI split.
+        monkeypatch.setattr(layering, "HW_SUBSTRATE", tuple(
+            m for m in layering.HW_SUBSTRATE if m != "hw.physmem"))
+        report = tmp_path / "findings.json"
+        assert main(["check", "--lint-only", "--no-cache",
+                     "--report", str(report)]) == 1
+        assert "[layering/mi-imports-hw-internals]" \
+            in capsys.readouterr().out
+        payload = load_report(report)
+        assert payload["clean"] is False
+        assert [(f["pass"], f["file"], f["rule"])
+                for f in payload["findings"]] == [
+            ("layering", "repro.core.resident", "mi-imports-hw-internals")]
 
     def test_report_is_deterministic(self, tmp_path):
         """Two clean runs produce byte-identical reports — findings

@@ -17,7 +17,6 @@ from repro.analysis.layering import lint_package
 from repro.analysis.race import (
     DISCIPLINES,
     GUARDED_CLASSES,
-    lint_concurrency,
     lint_guarded_by,
     lint_source_concurrency,
 )
@@ -430,6 +429,6 @@ class TestRealTree:
                     sched.spawn(task, bump)
                 """,
         })
-        assert _rules(lint_concurrency(root, "pkg")) == {"guarded-by"}
+        assert _rules(lint_guarded_by(root, "pkg")) == {"guarded-by"}
         assert _rules(_atomicity(root).findings) \
             == {"stale-read-across-yield"}
