@@ -497,12 +497,21 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
 
     # Cold or partially-warm: parse, then build the interprocedural
     # context (call graph + summaries) — also the source of cache
-    # dependency edges.
-    try:
-        data = {m: (source.parse(m), source.lines(m)) for m in sources}
-    except Exception as exc:
-        report.errors.append(AnalysisError(
-            "flow", f"{type(exc).__name__}: {exc}"))
+    # dependency edges.  Every module that fails to parse is a finding,
+    # and no pass runs over a tree that does not parse whole.
+    data = {}
+    for m in sources:
+        try:
+            data[m] = (source.parse(m), source.lines(m))
+        except SyntaxError as exc:
+            report.findings.append(Finding(
+                "flow", m, exc.lineno or 0, "syntax-error", "",
+                f"module failed to parse: {exc.msg}"))
+        except Exception as exc:
+            report.errors.append(AnalysisError(
+                "flow", f"{type(exc).__name__}: {exc}"))
+            return report
+    if report.findings:
         return report
     try:
         from repro.analysis import typestate

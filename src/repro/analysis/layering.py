@@ -98,7 +98,7 @@ UPPER_LAYERS = ("pager", "ipc", "fs", "unix", "bench", "baseline",
 
 
 #: Part of the cache key: bump on any rule/behavior change.
-LINT_VERSION = "3"
+LINT_VERSION = "4"
 
 
 def _violation(module: str, lineno: int, rule: str,
@@ -186,25 +186,18 @@ def collect_imports(root: Path, package: str = "repro",
                     ) -> dict[str, list[ImportSite]]:
     """Parse every module under *root* (or of *source*, one run's
     :class:`~repro.analysis.flow.SourceTree`); return module -> import
-    sites.
-
-    Modules that fail to parse appear with a single pseudo-site whose
-    target is ``"<syntax-error>"`` so the lint can report them.
+    sites.  A module that fails to parse raises its ``SyntaxError``:
+    :func:`~repro.analysis.flow.run_flow_passes` reports unparsable
+    modules itself, before any pass runs.
     """
     if source is None:
         source = SourceTree(root, package)
     known = set(source.files)
     result: dict[str, list[ImportSite]] = {}
     for module, (path, _data, _digest) in source.files.items():
-        try:
-            tree = source.parse(module)
-        except SyntaxError as exc:
-            result[module] = [ImportSite("<syntax-error>",
-                                         exc.lineno or 0, False, True)]
-            continue
         collector = _ImportCollector(
             module, os.path.basename(path) == "__init__.py", known)
-        collector.visit(tree)
+        collector.visit(source.parse(module))
         result[module] = collector.sites
     return result
 
@@ -250,11 +243,6 @@ def lint_package(root: Path, package: str = "repro",
         in_pmap = _within(mod_rel, "pmap")
         in_hw = _within(mod_rel, "hw")
         for site in sites:
-            if site.target == "<syntax-error>":
-                violations.append(_violation(
-                    module, site.lineno, "syntax-error",
-                    "module failed to parse"))
-                continue
             if site.star:
                 violations.append(_violation(
                     module, site.lineno, "star-import",

@@ -249,12 +249,7 @@ def lint_guarded_by(root: Path, package: str = "repro",
     if source is None:
         source = SourceTree(root, package)
     files = source.files
-    trees: dict[str, ast.Module] = {}
-    for module in files:
-        try:
-            trees[module] = source.parse(module)
-        except SyntaxError:
-            continue   # layering lint already reports syntax errors
+    trees = {module: source.parse(module) for module in files}
     decls: dict[str, dict[str, GuardDecl]] = {}
     attrs: dict[str, set[str]] = {}
     owner_of: dict[str, str] = {}
@@ -266,13 +261,11 @@ def lint_guarded_by(root: Path, package: str = "repro",
                 module, 0, "malformed-guard",
                 f"guarded module {rel} not found under {root}"))
             continue
-        if module in trees:
-            mod_decls, mod_attrs, mod_violations, _ = _parse_class_guards(
-                trees[module], source.lines(module), module,
-                class_names)
-            decls.update(mod_decls)
-            attrs.update(mod_attrs)
-            violations.extend(mod_violations)
+        mod_decls, mod_attrs, mod_violations, _ = _parse_class_guards(
+            trees[module], source.lines(module), module, class_names)
+        decls.update(mod_decls)
+        attrs.update(mod_attrs)
+        violations.extend(mod_violations)
         for cls in class_names:
             owner_of[cls] = rel
 

@@ -1,17 +1,28 @@
-"""Shared fixtures: small machines and booted kernels."""
+"""Shared fixtures: small machines, booted kernels, and the static
+analysis of the shipped tree (one run per session) and of a miniature
+package."""
 
 from __future__ import annotations
+
+import functools
+import shutil
+from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from repro import hw
+from repro.analysis.cache import DEFAULT_DIR
+from repro.analysis.flow import FlowReport, run_flow_passes
 from repro.core.kernel import MachKernel
-from repro.bench.testing import make_spec
+from repro.bench.testing import BENCH_ARCHS, make_spec
 from repro.hw.costs import CostModel
 from repro.hw.machine import MachineSpec
 from repro.pmap.interface import ShootdownStrategy
 
-MB = 1 << 20
+#: A miniature ``repro`` package (see its ``__init__``), for tests of
+#: the analyzer's mechanics.
+MINI_REPRO = Path(__file__).parent / "data" / "mini_repro"
 
 
 @pytest.fixture
@@ -63,26 +74,60 @@ def smp_kernel() -> MachKernel:
     _teardown_sweep(k)
 
 
-@pytest.fixture(params=["generic", "vax", "rt_pc", "sun3", "sun3_vac",
-                        "ns32082"])
+@pytest.fixture(params=list(BENCH_ARCHS))
 def any_pmap_kernel(request) -> MachKernel:
     """A kernel booted on each of the six MMU architectures."""
     name = request.param
-    kwargs = {}
-    if name == "vax":
-        kwargs = dict(hw_page_size=512, page_size=4096)
-    elif name == "rt_pc":
-        kwargs = dict(hw_page_size=2048, page_size=4096)
-    elif name in ("sun3", "sun3_vac"):
-        kwargs = dict(hw_page_size=8192, page_size=8192,
-                      mmu_contexts=8)
-    elif name == "ns32082":
-        kwargs = dict(hw_page_size=512, page_size=4096,
-                      va_limit=16 * MB, buggy_rmw_reports_read=True)
     k = MachKernel(make_spec(name=f"test-{name}", pmap_name=name,
-                             **kwargs))
+                             **BENCH_ARCHS[name]))
     yield k
     _teardown_sweep(k)
+
+
+class RealTree(NamedTuple):
+    """One cold analysis of the shipped tree: its report, and the cache
+    directory that run filled (read-only: copy it before use)."""
+
+    report: FlowReport
+    cache: Path
+
+
+@pytest.fixture(scope="session")
+def real_tree(tmp_path_factory) -> RealTree:
+    """Every static pass over the installed ``repro`` tree, run cold
+    once per session.  The real-tree tests read its report; tests that
+    run ``repro check`` on the real tree start from a copy of its
+    cache (:func:`real_tree_cwd`)."""
+    cache = tmp_path_factory.mktemp("real-tree") / DEFAULT_DIR.name
+    return RealTree(run_flow_passes(cache_dir=cache), cache)
+
+
+@pytest.fixture
+def real_tree_cwd(real_tree, tmp_path, monkeypatch) -> Path:
+    """A fresh working directory holding a copy of the session's cache
+    as its ``.repro-cache``: ``repro check`` run there is served warm."""
+    shutil.copytree(real_tree.cache, tmp_path / DEFAULT_DIR)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.fixture
+def mini_repro(tmp_path) -> Path:
+    """A fresh copy of the miniature ``repro`` package, to analyze as
+    ``run_flow_passes(mini_repro)``."""
+    root = tmp_path / "repro"
+    shutil.copytree(MINI_REPRO, root)
+    return root
+
+
+@pytest.fixture
+def check_mini_repro(mini_repro, monkeypatch) -> Path:
+    """``repro check`` analyzes the miniature package in place of the
+    installed one (the CLI finds its runner on ``repro.analysis``)."""
+    import repro.analysis as analysis
+    monkeypatch.setattr(analysis, "run_flow_passes",
+                        functools.partial(run_flow_passes, mini_repro))
+    return mini_repro
 
 
 def pytest_addoption(parser) -> None:

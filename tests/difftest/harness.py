@@ -33,26 +33,12 @@ from __future__ import annotations
 import hashlib
 import random
 
-from repro.bench.testing import make_spec
+from repro.bench.testing import BENCH_ARCHS, make_spec
 from repro.core.constants import FaultType, VMProt
 from repro.core.errors import VMError
 from repro.core.kernel import MachKernel
 from repro.obs.bus import EventRecorder
 from tests.difftest.reference import vm_fault_reference
-
-MB = 1024 * 1024
-
-#: arch -> make_spec keyword overrides; every registered pmap.
-ARCHS: dict[str, dict] = {
-    "generic": {},
-    "vax": dict(hw_page_size=512, page_size=4096),
-    "rt_pc": dict(hw_page_size=2048, page_size=4096),
-    "sun3": dict(hw_page_size=8192, page_size=8192, mmu_contexts=8),
-    "sun3_vac": dict(hw_page_size=8192, page_size=8192,
-                     mmu_contexts=8),
-    "ns32082": dict(hw_page_size=512, page_size=4096,
-                    va_limit=16 * MB, buggy_rmw_reports_read=True),
-}
 
 #: vm/* event-data keys holding process-global object ids.
 _OBJECT_ID_KEYS = ("object_id",)
@@ -61,7 +47,7 @@ _OBJECT_ID_KEYS = ("object_id",)
 def boot(arch: str, reference: bool = False,
          memory_frames: int = 96) -> MachKernel:
     """Boot one kernel; *reference* installs the pinned resolver."""
-    kwargs = dict(ARCHS[arch])
+    kwargs = dict(BENCH_ARCHS[arch])
     kwargs["memory_frames"] = memory_frames
     spec = make_spec(name=f"difftest-{arch}", pmap_name=arch,
                      ncpus=2, **kwargs)

@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench.testing import BENCH_ARCHS
 from tests.difftest.harness import (
-    ARCHS,
     repro_command,
     run_differential,
     run_pager_differential,
@@ -46,7 +46,7 @@ def _seeds(config) -> list[int]:
     return CORPUS
 
 
-@pytest.mark.parametrize("arch", sorted(ARCHS))
+@pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
 def test_fast_lane_matches_reference(arch, request):
     """Zero state divergence over the whole corpus, per architecture."""
     for seed in _seeds(request.config):
@@ -57,7 +57,7 @@ def test_fast_lane_matches_reference(arch, request):
             raise
 
 
-@pytest.mark.parametrize("arch", sorted(ARCHS))
+@pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
 def test_pager_lockstep_v2_matches_v1_reference(arch, request):
     """Protocol v2 == the pinned one-page v1 shim when replies arrive
     in order: pager-backed regions, scripted stalls, pageout/re-fault

@@ -1,6 +1,9 @@
 """The incremental analysis cache: warm runs re-analyze nothing,
 edits re-analyze exactly the edited module's reverse-dependency cone,
-and cached runs report the same findings as cold ones."""
+and cached runs report the same findings as cold ones.  The mechanics
+run on small packages (``tree`` below, ``mini_repro`` in
+``conftest.py``); the shipped tree's warm run starts from the
+session's cold one (``real_tree``)."""
 
 from __future__ import annotations
 
@@ -16,15 +19,12 @@ import pytest
 
 import repro
 from repro.analysis import cache as cache_module
-from repro.analysis import cfg, flow
+from repro.analysis import cfg, conformance, flow
 from repro.analysis.cache import (
     RECENT_TREES, AnalysisCache, content_digest, module_key, tree_digest,
 )
 from repro.analysis.flow import SourceTree, run_flow_passes
 from repro.cli import main
-
-#: The installed package the real-tree tests check.
-REPRO_ROOT = Path(repro.__file__).resolve().parent
 
 PKG = "pkg"
 
@@ -124,11 +124,12 @@ class TestWarmRun:
         assert warm.analyzed == []
         assert warm.findings == cold.findings
 
-    def test_real_tree_warm_run(self, tmp_path, monkeypatch):
+    def test_real_tree_warm_run(self, real_tree, real_tree_cwd,
+                                monkeypatch):
         """The shipped tree itself: cold populates, warm serves
         everything from cache without parsing and stays clean."""
-        cache = tmp_path / "cache"
-        cold = run_flow_passes(cache_dir=cache)
+        cache = real_tree_cwd / cache_module.DEFAULT_DIR
+        cold = real_tree.report
         assert cold.clean and cold.analyzed
         with monkeypatch.context() as patch:
             _forbid_parsing(patch)
@@ -229,17 +230,18 @@ class TestOneReadPerFile:
         return parses
 
     def test_check_reads_and_parses_each_module_once(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, check_mini_repro):
         """A whole cold ``check --lint-only`` (digest, both lints, every
         flow pass) reads each file once and parses each module once.
         The warm run reads once and parses nothing, and a cold run in a
         fresh cache directory parses everything again: nothing parsed
         outlives the run that parsed it."""
-        files = sorted(REPRO_ROOT.rglob("*.py"))
-        once_read = Counter({p.relative_to(REPRO_ROOT).as_posix(): 1
+        root = check_mini_repro
+        files = sorted(root.rglob("*.py"))
+        once_read = Counter({p.relative_to(root).as_posix(): 1
                              for p in files})
         once_parsed = Counter({str(p): 1 for p in files})
-        reads = self._count_reads(monkeypatch, REPRO_ROOT)
+        reads = self._count_reads(monkeypatch, root)
         parses = self._count_parses(monkeypatch)
 
         def source_reads():     # the baseline file is data, not source
@@ -265,12 +267,27 @@ class TestOneReadPerFile:
         assert main(["check", "--lint-only"]) == 0
         assert parses == once_parsed
 
-    def test_check_hashes_each_file_once(self, tmp_path, monkeypatch):
+        # Conformance checks the live pmap registry, whose modules are
+        # the installed tree's whatever tree is linted.  Handed that
+        # tree's SourceTree, it reads none of them again and parses
+        # each at most once.
+        real = Path(repro.__file__).resolve().parent
+        parses.clear()
+        with monkeypatch.context() as patch:
+            real_reads = self._count_reads(patch, real)
+            conformance.run_pass(SourceTree())
+        assert Counter({f: n for f, n in real_reads.items()
+                        if f.endswith(".py")}) == Counter(
+            {p.relative_to(real).as_posix(): 1 for p in real.rglob("*.py")})
+        assert parses and set(parses.values()) == {1}
+
+    def test_check_hashes_each_file_once(self, tmp_path, monkeypatch,
+                                         check_mini_repro):
         """A cold and a warm ``check --lint-only`` each feed every
         file's bytes to sha256 exactly once, as one chunk, and the cold
         run keys each module on its file's digest, hashing no text
         again."""
-        files = [p.read_bytes() for p in REPRO_ROOT.rglob("*.py")]
+        files = [p.read_bytes() for p in check_mini_repro.rglob("*.py")]
         once = Counter(files)
         tree_bytes = sum(map(len, files))
         keyed = []
@@ -298,12 +315,12 @@ class TestOneReadPerFile:
             assert other < tree_bytes // 2, (run, other, tree_bytes)
 
     def test_lint_cache_keys_the_version_it_linted(
-            self, tmp_path, monkeypatch):
+            self, tmp_path, monkeypatch, check_mini_repro):
         """An edit landing between two reads of one file must not store
         one version's lint results under the other version's digest.
         With one read per run there is no second version: the run lints
         what it hashed, and the next run is served that result."""
-        target = str(REPRO_ROOT / "core" / "constants.py")
+        target = str(check_mini_repro / "core" / "constants.py")
         real = io.open
         seen = Counter()
 
@@ -329,7 +346,7 @@ class TestOneReadPerFile:
 
 def _reference_walk_no_lambda(node):
     """``cfg.walk_no_lambda`` as it was before the cached child index:
-    fresh ``ast.iter_child_nodes`` at every step."""
+    ``ast.iter_child_nodes`` at every step."""
     stack = [node]
     while stack:
         cur = stack.pop()
@@ -356,13 +373,25 @@ class TestOneWalker:
     CFG node's calls are what the passes used to collect per visit."""
 
     def test_walks_match_the_uncached_walks_on_every_node(
-            self, real_trees):
-        for tree in real_trees:
-            for node in _no_context(ast.walk(tree)):
-                assert list(cfg.walk(node)) == \
-                    _no_context(ast.walk(node))
-                assert list(cfg.walk_no_lambda(node)) == \
-                    _no_context(_reference_walk_no_lambda(node))
+            self, real_trees, monkeypatch):
+        """Each node's ``ast.iter_child_nodes`` is taken once and
+        replayed: the references then walk every subtree of the real
+        tree without rebuilding its child lists at every ancestor."""
+        iter_child_nodes = ast.iter_child_nodes
+
+        class Replay(dict):
+            def __missing__(self, node):
+                kids = self[node] = tuple(iter_child_nodes(node))
+                return kids
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ast, "iter_child_nodes", Replay().__getitem__)
+            for tree in real_trees:
+                for node in _no_context(ast.walk(tree)):
+                    assert list(cfg.walk(node)) == \
+                        _no_context(ast.walk(node))
+                    assert list(cfg.walk_no_lambda(node)) == \
+                        _no_context(_reference_walk_no_lambda(node))
 
     def test_leaves_store_nothing(self, real_trees):
         for tree in real_trees:

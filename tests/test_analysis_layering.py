@@ -7,9 +7,8 @@ import textwrap
 
 import pytest
 
-from repro.analysis.layering import (
-    collect_imports, lint_package, lint_source_tree,
-)
+from repro.analysis.flow import run_flow_passes
+from repro.analysis.layering import collect_imports, lint_package
 
 
 def _write_tree(root, files: dict[str, str]) -> None:
@@ -101,9 +100,14 @@ class TestLintCatchesViolations:
             lint_package(tree, package="pkg"))
 
     def test_syntax_error_reported_not_raised(self, tree):
+        """The runner reports an unparsable module before the lint (or
+        any pass) runs: a finding, never an exception."""
         (tree / "core" / "broken.py").write_text("def f(:\n")
-        assert "syntax-error" in _rules(
-            lint_package(tree, package="pkg"))
+        report = run_flow_passes(tree, "pkg")
+        assert report.errors == []
+        assert [(f.pass_name, f.module, f.rule)
+                for f in report.findings] == [
+            ("flow", "pkg.core.broken", "syntax-error")]
 
 
 class TestImportCollection:
@@ -123,6 +127,13 @@ class TestImportCollection:
 
 
 class TestRealTree:
-    def test_source_tree_is_clean(self):
-        violations = lint_source_tree()
+    def test_source_tree_is_clean(self, real_tree):
+        """The session's analysis ran the lint on the shipped tree, and
+        it found nothing (before any baseline entry applied)."""
+        report = real_tree.report
+        assert "#layering" in report.analyzed
+        assert report.errors == []
+        violations = [f for f in report.findings
+                      + [f for f, _ in report.suppressed]
+                      if f.pass_name == "layering"]
         assert violations == [], "\n".join(str(v) for v in violations)

@@ -131,12 +131,12 @@ class TestCommands:
         assert "zero fill 1K" in out
         assert "fork 256K" in out
 
-    def test_check_lint_only(self, capsys):
+    def test_check_lint_only(self, capsys, real_tree_cwd):
         assert main(["check", "--lint-only"]) == 0
         out = capsys.readouterr().out
         assert "lint: clean" in out
 
-    def test_check_single_arch_sweep(self, capsys):
+    def test_check_single_arch_sweep(self, capsys, real_tree_cwd):
         assert main(["check", "--arch", "generic"]) == 0
         out = capsys.readouterr().out
         assert "3/3 cells passed" in out

@@ -1,6 +1,8 @@
 """The flow-pass runner: the shipped tree stays clean, baselines are
 reviewed decisions, and a crashing pass is an analysis error — never a
-silently clean run."""
+silently clean run.  The clean-tree tests read the session's one cold
+analysis of the shipped tree (``real_tree`` in ``conftest.py``); crash
+and CLI mechanics run on the miniature package (``mini_repro``)."""
 
 from __future__ import annotations
 
@@ -15,33 +17,26 @@ from repro.analysis.flow import (
 from repro.cli import main
 
 
-@pytest.fixture(scope="module")
-def cold_report():
-    """One cold, uncached run of every pass over the shipped tree,
-    shared by the clean-tree tests."""
-    return run_flow_passes()
-
-
 class TestCleanTree:
-    def test_shipped_tree_is_clean(self, cold_report):
-        report = cold_report
+    def test_shipped_tree_is_clean(self, real_tree):
+        report = real_tree.report
         assert report.findings == []
         assert report.errors == []
         assert report.clean
 
-    def test_suppressions_are_reviewed(self, cold_report):
+    def test_suppressions_are_reviewed(self, real_tree):
         """Every baseline entry that fires carries a written reason."""
-        report = cold_report
+        report = real_tree.report
         assert report.suppressed        # the two triaged FPs
         for finding, reason in report.suppressed:
             assert isinstance(finding, Finding)
             assert len(reason) > 20
 
-    def test_no_stale_baseline_entries(self, cold_report):
+    def test_no_stale_baseline_entries(self, real_tree):
         """An entry that no longer suppresses any current finding is
         suppression rot: the test names the stale file line so it can
         be deleted (not just which entry, but where)."""
-        report = cold_report
+        report = real_tree.report
         stale = [entry for entry in load_baseline()
                  if not any(entry.matches(f)
                             for f, _ in report.suppressed)]
@@ -52,13 +47,13 @@ class TestCleanTree:
             f"current finding matches; delete the line"
             for entry in stale)
 
-    def test_stale_entry_detection_fires(self, cold_report):
+    def test_stale_entry_detection_fires(self, real_tree):
         """The staleness check itself must be able to go red."""
         entries = load_baseline()
         ghost = BaselineEntry("typestate/page-double-free",
                               "repro.no.such.module", "*",
                               "reviewed: never fires", lineno=999)
-        report = cold_report
+        report = real_tree.report
         stale = [entry for entry in entries + [ghost]
                  if not any(entry.matches(f)
                             for f, _ in report.suppressed)]
@@ -66,14 +61,15 @@ class TestCleanTree:
 
 
 class TestCrashHandling:
-    def test_crashing_pass_becomes_analysis_error(self, monkeypatch):
+    def test_crashing_pass_becomes_analysis_error(self, monkeypatch,
+                                                  mini_repro):
         import repro.analysis.typestate as typestate
 
         def boom(module, tree, ctx=None):
             raise RuntimeError("pass exploded")
 
         monkeypatch.setattr(typestate, "check_module", boom)
-        report = run_flow_passes(passes=["lifecycle"])
+        report = run_flow_passes(mini_repro, passes=["lifecycle"])
         assert not report.clean
         assert report.errors
         assert report.errors[0].pass_name == "lifecycle"
@@ -117,7 +113,7 @@ class TestCrashHandling:
         assert "unknown pass" in report.errors[0].message
 
     def test_crashed_module_is_never_cached(self, monkeypatch,
-                                            tmp_path):
+                                            tmp_path, mini_repro):
         """A crash must be retried next run, not served from cache."""
         import repro.analysis.determinism as determinism
 
@@ -125,16 +121,17 @@ class TestCrashHandling:
             raise RuntimeError("pass exploded")
 
         monkeypatch.setattr(determinism, "check_module", boom)
-        report = run_flow_passes(passes=["determinism"],
+        report = run_flow_passes(mini_repro, passes=["determinism"],
                                  cache_dir=tmp_path / "cache")
         assert not report.clean
         monkeypatch.undo()
-        report = run_flow_passes(passes=["determinism"],
+        report = run_flow_passes(mini_repro, passes=["determinism"],
                                  cache_dir=tmp_path / "cache")
         assert report.clean
         assert report.analyzed        # the crashed modules re-ran
 
-    def test_crash_fails_repro_check(self, monkeypatch, capsys):
+    def test_crash_fails_repro_check(self, monkeypatch, capsys,
+                                     check_mini_repro):
         import repro.analysis.typestate as typestate
 
         def boom(module, tree, ctx=None):
@@ -146,9 +143,30 @@ class TestCrashHandling:
         assert "analysis error" in out
         assert "lint: clean" not in out
 
+    def test_every_unparsable_module_is_a_finding(self, check_mini_repro,
+                                                  capsys):
+        """A module that fails to parse is a finding naming its dotted
+        module, one per module, not a crash naming one file's basename;
+        no pass runs over a tree that does not parse whole."""
+        (check_mini_repro / "core" / "_probe.py").write_text("def f(:\n")
+        (check_mini_repro / "pmap" / "_probe2.py").write_text("x = (\n")
+        report = run_flow_passes(check_mini_repro)
+        assert report.errors == []
+        assert report.analyzed == []
+        assert [(f.pass_name, f.module, f.lineno, f.rule)
+                for f in report.findings] == [
+            ("flow", "repro.core._probe", 1, "syntax-error"),
+            ("flow", "repro.pmap._probe2", 1, "syntax-error")]
+
+        assert main(["check", "--lint-only", "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "repro.core._probe:1: [flow/syntax-error] module failed " \
+            "to parse" in out
+        assert "repro.pmap._probe2:1: [flow/syntax-error]" in out
+        assert "crashed" not in out
 
     def test_crashing_lint_fails_check_and_is_retried(
-            self, monkeypatch, tmp_path, capsys):
+            self, monkeypatch, tmp_path, capsys, check_mini_repro):
         """The layering lint is a pass of the one runner: its crash
         fails ``repro check``, the crashed tree is not cached, and the
         next run re-runs the lint and is clean."""
@@ -227,11 +245,14 @@ class TestBaseline:
 
 
 class TestCli:
-    def test_check_report_is_versioned_json(self, tmp_path, capsys):
+    def test_check_report_is_versioned_json(self, real_tree_cwd,
+                                            capsys):
+        """The shipped tree's report, from ``repro check`` served by
+        the session's cache."""
         from repro.analysis.report import SCHEMA_VERSION, load_report
 
-        report = tmp_path / "findings.json"
-        assert main(["check", "--lint-only", "--no-cache",
+        report = real_tree_cwd / "findings.json"
+        assert main(["check", "--lint-only",
                      "--report", str(report)]) == 0
         out = capsys.readouterr().out
         assert "lint: clean" in out
@@ -244,14 +265,15 @@ class TestCli:
         assert payload["suppressed"] == 2
 
     def test_report_lists_a_lint_finding(self, tmp_path, monkeypatch,
-                                         capsys):
+                                         capsys, check_mini_repro):
         """A layering finding is a ``Finding`` like any pass's: it fails
         the check and the report files it under its pass."""
         from repro.analysis import layering
         from repro.analysis.report import load_report
 
-        # Without hw.physmem in the substrate contract, the resident
-        # page table's frame-store import breaks the MD/MI split.
+        # Without hw.physmem in the substrate contract, the (miniature)
+        # resident page table's frame-store import breaks the MD/MI
+        # split.
         monkeypatch.setattr(layering, "HW_SUBSTRATE", tuple(
             m for m in layering.HW_SUBSTRATE if m != "hw.physmem"))
         report = tmp_path / "findings.json"

@@ -18,7 +18,6 @@ from repro.analysis.race import (
     DISCIPLINES,
     GUARDED_CLASSES,
     lint_guarded_by,
-    lint_source_concurrency,
 )
 
 
@@ -242,7 +241,9 @@ class TestAtomicityLint:
         _write_tree(root, {"__init__.py": "", "mod.py": "def f(:\n"})
         report = _atomicity(root)
         assert not report.clean
-        assert "SyntaxError" in report.errors[0].message
+        assert report.errors == []
+        assert [(f.module, f.lineno, f.rule) for f in report.findings] \
+            == [("pkg.mod", 1, "syntax-error")]
 
 
 #: Two modules: ``touch`` yields in ``a``; ``b`` calls it between a
@@ -290,12 +291,17 @@ class TestAtomicityAcrossModules:
         assert _atomicity(pkg, cache).analyzed == []
 
     @pytest.fixture(scope="class")
-    def probed_tree(self, tmp_path_factory):
+    def probed_tree(self, tmp_path_factory, real_tree):
         """The real ``repro`` tree plus a pager module that reads a
         guarded field, enters the fault path through each kernel entry
-        point, and writes the field back; its atomicity findings."""
+        point, and writes the field back; its atomicity findings.  The
+        run starts from a copy of the session's cache of the real tree,
+        so only the probe is analyzed."""
         import repro
-        root = tmp_path_factory.mktemp("tree") / "repro"
+        base = tmp_path_factory.mktemp("tree")
+        cache = base / "cache"
+        shutil.copytree(real_tree.cache, cache)
+        root = base / "repro"
         shutil.copytree(Path(repro.__file__).resolve().parent, root,
                         ignore=shutil.ignore_patterns("__pycache__"))
         (root / "pager" / "_probe.py").write_text(textwrap.dedent("""
@@ -314,8 +320,10 @@ class TestAtomicityAcrossModules:
                 kernel.wire_range(task, addr, 4096)
                 buf.size = n + 1
             """))
-        report = run_flow_passes(root, "repro", passes=("atomicity",))
+        report = run_flow_passes(root, "repro", passes=("atomicity",),
+                                 cache_dir=cache)
         assert report.errors == []
+        assert report.analyzed == ["repro.pager._probe"]
         return {(f.module, f.rule, f.where) for f in report.findings}
 
     @pytest.mark.parametrize("where", [
@@ -377,8 +385,16 @@ class TestHookInversionRule:
 
 
 class TestRealTree:
-    def test_source_tree_is_concurrency_clean(self):
-        violations = lint_source_concurrency()
+    def test_source_tree_is_concurrency_clean(self, real_tree):
+        """The session's analysis ran the guarded-by lint on the
+        shipped tree, and it found nothing (before any baseline entry
+        applied)."""
+        report = real_tree.report
+        assert "#concurrency" in report.analyzed
+        assert report.errors == []
+        violations = [f for f in report.findings
+                      + [f for f, _ in report.suppressed]
+                      if f.pass_name == "concurrency"]
         assert violations == [], "\n".join(str(v) for v in violations)
 
     def test_every_discipline_is_used_by_the_tree(self):

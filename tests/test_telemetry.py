@@ -36,7 +36,7 @@ from repro.bench.storm import (
     run_storm,
     run_storm_matrix,
 )
-from repro.bench.testing import QUICK_ARCHS, make_spec
+from repro.bench.testing import BENCH_ARCHS, QUICK_ARCHS, make_spec
 from repro.cli import main
 from repro.core.constants import FaultType
 from repro.core.kernel import MachKernel
@@ -49,7 +49,6 @@ from repro.obs import (
 from repro.obs.bus import EventBus
 from repro.obs.metrics import Histogram
 from tests.difftest.harness import (
-    ARCHS,
     apply_ops,
     boot as difftest_boot,
     fingerprint,
@@ -506,7 +505,7 @@ class TestStorm:
 
 class TestDifftestWithTelemetry:
 
-    @pytest.mark.parametrize("arch", sorted(ARCHS))
+    @pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
     def test_lanes_agree_with_telemetry_attached(self, arch):
         """Attaching the observer must not perturb either fault lane
         (same fingerprints as each other), and both lanes must count

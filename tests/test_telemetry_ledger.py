@@ -34,6 +34,7 @@ import repro.bench.storm as storm_mod
 import repro.obs.bus as bus_mod
 import repro.obs.telemetry as telemetry_mod
 from repro.bench.storm import QUICK_LOAD, run_pager_storm, run_storm
+from repro.bench.testing import BENCH_ARCHS
 from repro.core.constants import FaultType
 from repro.core.errors import PageFault
 from repro.obs import (
@@ -43,7 +44,6 @@ from repro.obs import (
     chrome_trace,
     validate_chrome_trace,
 )
-from tests.difftest.harness import ARCHS
 from tests.telemetry_reference import ReferenceTelemetry
 
 CAP = bus_mod.FAULT_EVENT_CAP
@@ -105,7 +105,7 @@ CELLS = {
 }
 
 
-@pytest.mark.parametrize("arch", sorted(ARCHS))
+@pytest.mark.parametrize("arch", sorted(BENCH_ARCHS))
 @pytest.mark.parametrize("cell", sorted(CELLS))
 def test_storm_cell_matches_reference(monkeypatch, cell, arch):
     plain_report, plain = CELLS[cell](arch)

@@ -8,7 +8,6 @@ import ast
 import textwrap
 from pathlib import Path
 
-from repro.analysis.flow import run_flow_passes
 from repro.analysis.typestate import check_module, in_scope
 
 FIXTURES = Path(__file__).parent / "data" / "flow_fixtures"
@@ -226,10 +225,12 @@ class TestScopeAndTree:
         assert in_scope("repro.bench.storm", group="lifecycle")
         assert in_scope("repro.core.kernel", group="lifecycle")
 
-    def test_real_tree_is_clean(self):
+    def test_real_tree_is_clean(self, real_tree):
         """The shipped kernel honors its own protocols (any true
         finding must be fixed or baselined, not ignored)."""
-        report = run_flow_passes(passes=("typestate",))
-        assert report.findings == []
-        assert report.suppressed == []
+        report = real_tree.report
+        assert [f for f in report.findings
+                if f.pass_name == "typestate"] == []
+        assert [f for f, _ in report.suppressed
+                if f.pass_name == "typestate"] == []
         assert report.errors == []
