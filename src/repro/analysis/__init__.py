@@ -2,7 +2,8 @@
 
 * :mod:`repro.analysis.layering` — AST import lint for the paper's
   module boundary (machine-independent code vs. the pmap layer vs. the
-  hardware substrate), the ``layering`` whole-tree pass;
+  hardware substrate), the ``layering`` whole-tree pass, and the one
+  owner of the rule for what a pmap module may import;
 * :mod:`repro.analysis.invariants` — runtime sanitizer proving every
   pmap/TLB translation is a subset of machine-independent truth;
 * :mod:`repro.analysis.race` — the concurrency sanitizer: the
@@ -27,9 +28,11 @@
   as two passes: ``lifecycle`` (acquire/release pairing of swap slots,
   vm_object references, resident pages, holding maps and port rights)
   and ``typestate`` (page, object, map-entry and shootdown protocols);
-* :mod:`repro.analysis.conformance` — pmap MI-contract verifier over
-  the live registry (coverage, signatures, TLB invalidation,
-  reach-around imports);
+* :mod:`repro.analysis.conformance` — pmap and pager contract
+  verifier over the live registries (one interface checker for both:
+  coverage and signatures; TLB invalidation; capability honesty), and
+  the layering lint's pmap-import rule for pmaps defined outside the
+  ``repro`` tree, whose imports the lint never reads;
 * :mod:`repro.analysis.errorpaths` — transient-error call sites must
   meet the PR 2 retry policy (or carry ``#: no-retry``); broad
   swallowing excepts in kernel paths are flagged;

@@ -19,15 +19,23 @@ the protocol-ordering rules — data arriving before ``pager_init`` is
 rejected, and every issued request id is eventually answered or
 retired (no in-flight leak), with late echoes drained as stale.
 
-For every registered pmap class the verifier checks:
+Pmaps and pagers share one interface checker, run against
+:class:`~repro.pmap.interface.Pmap` or
+:class:`~repro.pager.protocol.PagerProtocol`:
 
-* **complete method coverage** — the class is concrete (no abstract
-  ``_hw_*`` hook left unimplemented) and every Table 3-3/3-4 method is
-  callable (rule ``incomplete-interface`` / ``missing-method``);
+* **complete method coverage** — the class subclasses the interface
+  (rule ``not-a-pmap`` / ``not-a-pager``), is concrete (no abstract
+  hook left unimplemented) and every contract method is callable
+  (rule ``incomplete-interface`` / ``missing-method``);
 * **signature compatibility** — overrides accept the interface's
-  parameters, by name and position; extra parameters must carry
-  defaults so MI call sites never have to know about them (rule
-  ``signature-mismatch``);
+  parameters, by name and position; a parameter the interface gives a
+  default keeps one, and extra parameters must carry defaults, so call
+  sites never have to know about them (rule ``signature-mismatch``; a
+  v1 four-argument ``data_request`` is one, naming
+  ``readahead_hint``).
+
+For every registered pmap class the verifier also checks:
+
 * **TLB invalidation** — an override of a mutating operation
   (``enter``/``remove``/``protect``/``forget``) must either delegate
   to ``super()`` (whose implementation shoots down) or call
@@ -37,10 +45,13 @@ For every registered pmap class the verifier checks:
   table walk (``_hw_iter``) must declare ``TABLE_SPAN``, the bytes one
   of its second-level tables maps; without it the first range
   operation would fail at run time (rule ``missing-table-span``);
-* **no reach-around imports** — the defining module must not import
-  machine-independent state (``repro.core.*`` beyond the shared
-  vocabulary, the pager, or IPC); all VM information a pmap needs
-  arrives through the interface (rule ``reach-around-import``).
+* **imports, out of tree only** — what a pmap module may import is
+  decided by :func:`repro.analysis.layering.pmap_import_rule`, which
+  the ``layering`` pass applies to every module of the ``repro`` tree.
+  This pass applies it only to pmaps defined outside that tree (a
+  port such as ``examples/port_to_new_mmu.py``), whose modules the
+  lint never reads (rules ``pmap-imports-mi-state`` /
+  ``pmap-imports-upper-layer``, one finding per import line and rule).
 
 Unlike the other flow passes this one inspects *live classes* (via the
 registry), so conformance follows inheritance exactly the way the
@@ -51,17 +62,22 @@ from __future__ import annotations
 
 import ast
 import inspect
+import sys
 import textwrap
 from pathlib import Path
 from typing import Optional, Type
 
+import repro
 from repro.analysis.cfg import walk
-from repro.analysis.flow import Finding, SourceTree
+from repro.analysis.flow import Finding, SourceTree, module_files
+from repro.analysis.layering import (
+    import_sites, one_per_line, pmap_import_rule,
+)
 
 PASS_NAME = "conformance"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "3"
+PASS_VERSION = "4"
 
 #: Methods every pmap must export (Table 3-3 + 3-4 + simulation hooks).
 CONTRACT_METHODS = (
@@ -78,14 +94,6 @@ HW_HOOKS = ("_hw_enter", "_hw_remove", "_hw_protect", "_hw_lookup",
 
 #: Mutating operations that must invalidate TLBs.
 MUTATORS = ("enter", "enter_batch", "remove", "protect", "forget")
-
-#: repro.core submodules a pmap module may import: the shared
-#: vocabulary only (mirrors the layering lint's VOCABULARY).
-ALLOWED_CORE = ("repro.core.constants", "repro.core.errors")
-
-#: MI packages a pmap module must never reach into.
-FORBIDDEN_PREFIXES = ("repro.core", "repro.pager", "repro.ipc",
-                      "repro.unix", "repro.fs")
 
 
 def _interface_class() -> type:
@@ -113,28 +121,40 @@ def _method_lineno(func) -> int:
     return getattr(code, "co_firstlineno", 0)
 
 
-def _check_coverage(name: str, cls: type) -> list[Finding]:
+def _check_subclass(kind: str, name: str, cls: Type,
+                    base: type) -> list[Finding]:
+    if isinstance(cls, type) and issubclass(cls, base):
+        return []
+    return [Finding(
+        PASS_NAME, getattr(cls, "__module__", "?"), 0, f"not-a-{kind}",
+        getattr(cls, "__name__", repr(cls)),
+        f"registered {kind} {name!r} is not a {base.__name__} subclass")]
+
+
+def _check_coverage(kind: str, name: str, cls: type, base: type,
+                    methods: tuple[str, ...]) -> list[Finding]:
     findings: list[Finding] = []
     abstract = sorted(getattr(cls, "__abstractmethods__", ()))
     if abstract:
         findings.append(_finding(
             cls, _class_lineno(cls), "incomplete-interface",
-            f"pmap {name!r} ({cls.__name__}) is abstract: implement "
-            f"{', '.join(abstract)} (see the _hw_* hooks in "
-            f"repro.pmap.interface.Pmap)"))
-    for method in CONTRACT_METHODS + HW_HOOKS:
+            f"{kind} {name!r} ({cls.__name__}) is abstract: implement "
+            f"{', '.join(abstract)} (see {base.__module__}."
+            f"{base.__name__})"))
+    for method in methods:
         if not callable(getattr(cls, method, None)):
             findings.append(_finding(
                 cls, _class_lineno(cls), "missing-method",
-                f"pmap {name!r} ({cls.__name__}) does not provide "
-                f"{method}(); every registered pmap must export the "
-                f"full Table 3-3/3-4 interface"))
+                f"{kind} {name!r} ({cls.__name__}) does not provide "
+                f"{method}(); every registered {kind} must export the "
+                f"full {base.__name__} interface"))
     return findings
 
 
-def _check_signatures(name: str, cls: type, base: type) -> list[Finding]:
+def _check_signatures(kind: str, name: str, cls: type, base: type,
+                      methods: tuple[str, ...]) -> list[Finding]:
     findings: list[Finding] = []
-    for method in CONTRACT_METHODS + HW_HOOKS:
+    for method in methods:
         impl = getattr(cls, method, None)
         ref = getattr(base, method, None)
         if impl is None or ref is None or impl is ref:
@@ -150,11 +170,15 @@ def _check_signatures(name: str, cls: type, base: type) -> list[Finding]:
         for idx, wp in enumerate(want):
             if idx >= len(have):
                 problems.append(f"missing parameter {wp.name!r}")
-                continue
-            if have[idx].name != wp.name:
+            elif have[idx].name != wp.name:
                 problems.append(
                     f"parameter {idx} is {have[idx].name!r}, interface "
                     f"says {wp.name!r}")
+            elif wp.default is not wp.empty \
+                    and have[idx].default is have[idx].empty:
+                problems.append(
+                    f"parameter {wp.name!r} has no default, but the "
+                    f"interface gives it one — call sites may omit it")
         for extra in have[len(want):]:
             if extra.default is extra.empty:
                 problems.append(
@@ -163,7 +187,7 @@ def _check_signatures(name: str, cls: type, base: type) -> list[Finding]:
         if problems:
             findings.append(_finding(
                 cls, _method_lineno(impl), "signature-mismatch",
-                f"pmap {name!r}: {cls.__name__}.{method}"
+                f"{kind} {name!r}: {cls.__name__}.{method}"
                 f"{inspect.signature(impl)} does not match the "
                 f"interface {base.__name__}.{method}"
                 f"{inspect.signature(ref)}: " + "; ".join(problems),
@@ -235,85 +259,62 @@ def _check_table_span(name: str, cls: type, base: type) -> list[Finding]:
         f"override _hw_iter")]
 
 
-def _module_imports(module_name: str, source: Optional[SourceTree]
-                    ) -> list[tuple[str, int]]:
-    import importlib.util
-    spec = importlib.util.find_spec(module_name)
-    if spec is None or spec.origin is None:
+def _defining_file(cls: type) -> Optional[str]:
+    """The source file of *cls*'s module: its ``__file__``, or where
+    the class's own functions were compiled when the module was loaded
+    straight from a path and never entered ``sys.modules``."""
+    path = getattr(sys.modules.get(cls.__module__), "__file__", None)
+    if path:
+        return path
+    for value in vars(cls).values():
+        code = getattr(value, "__code__", None)
+        if code is not None:
+            return code.co_filename
+    return None
+
+
+def _check_out_of_tree_imports(cls: type) -> list[Finding]:
+    """:func:`~repro.analysis.layering.pmap_import_rule` over the
+    module defining *cls*, when that module lies outside the ``repro``
+    package (whose modules the ``layering`` pass already checks).
+    Only the class's own module: base classes are checked where they
+    are defined."""
+    module = cls.__module__
+    if module == "repro" or module.startswith("repro."):
         return []
-    origin = Path(spec.origin).resolve()
+    path = _defining_file(cls)
+    if path is None:          # no source (REPL / exec); cannot judge
+        return []
     try:
-        # The run's SourceTree already read (and maybe parsed) the
-        # module's file when it holds it.
-        if source is not None \
-                and source.files.get(module_name, (None,))[0] == str(origin):
-            tree = source.parse(module_name)
-        else:
-            tree = ast.parse(origin.read_text())
+        tree = ast.parse(Path(path).read_bytes(), filename=path)
     except (OSError, SyntaxError):
         return []
-    out: list[tuple[str, int]] = []
-    for node in walk(tree):
-        if isinstance(node, ast.Import):
-            out += [(alias.name, node.lineno) for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                and node.module:
-            for alias in node.names:
-                out.append((f"{node.module}.{alias.name}", node.lineno))
-                out.append((node.module, node.lineno))
-    return out
-
-
-def _check_imports(name: str, cls: type,
-                   source: Optional[SourceTree]) -> list[Finding]:
-    # Only the class's own defining module: base classes are verified
-    # when their own registration is checked, avoiding duplicates.
+    known = set(module_files(Path(repro.__file__).resolve().parent,
+                             "repro"))
     findings: list[Finding] = []
-    module_name = getattr(cls, "__module__", "")
-    if not module_name:
-        return findings
-    seen: set[str] = set()
-    for imported, lineno in _module_imports(module_name, source):
-        bad = any(imported == p or imported.startswith(p + ".")
-                  for p in FORBIDDEN_PREFIXES)
-        ok = any(imported == a or a.startswith(imported + ".")
-                 or imported.startswith(a + ".")
-                 for a in ALLOWED_CORE)
-        if bad and not ok and imported not in seen:
-            seen.add(imported)
-            findings.append(Finding(
-                PASS_NAME, module_name, lineno, "reach-around-import",
-                cls.__name__,
-                f"pmap module imports MI state {imported!r}; the "
-                f"machine-dependent layer may only use the shared "
-                f"vocabulary ({', '.join(ALLOWED_CORE)}) — all VM "
-                f"information must arrive through the pmap interface"))
-    return findings
+    for site in import_sites(tree, module, False, known):
+        broken = pmap_import_rule(site.target)
+        if broken:
+            findings.append(_finding(cls, site.lineno, *broken))
+    return one_per_line(findings)
 
 
-def verify_pmap_class(name: str, cls: Type,
-                      source: Optional[SourceTree] = None
-                      ) -> list[Finding]:
+def verify_pmap_class(name: str, cls: Type) -> list[Finding]:
     """Check one pmap class against the MI contract; returns findings
-    (empty when conformant).  *source*, a
-    :class:`~repro.analysis.flow.SourceTree`, supplies the defining
-    module's text when it holds that file."""
+    (empty when conformant)."""
     base = _interface_class()
-    if not (isinstance(cls, type) and issubclass(cls, base)):
-        return [Finding(
-            PASS_NAME, getattr(cls, "__module__", "?"), 0,
-            "not-a-pmap", getattr(cls, "__name__", repr(cls)),
-            f"registered pmap {name!r} is not a Pmap subclass")]
-    findings = _check_coverage(name, cls)
-    findings += _check_signatures(name, cls, base)
-    findings += _check_invalidation(name, cls, base)
-    findings += _check_table_span(name, cls, base)
-    findings += _check_imports(name, cls, source)
-    return findings
+    wrong = _check_subclass("pmap", name, cls, base)
+    if wrong:
+        return wrong
+    methods = CONTRACT_METHODS + HW_HOOKS
+    return (_check_coverage("pmap", name, cls, base, methods)
+            + _check_signatures("pmap", name, cls, base, methods)
+            + _check_invalidation(name, cls, base)
+            + _check_table_span(name, cls, base)
+            + _check_out_of_tree_imports(cls))
 
 
-def verify_pmap_conformance(registry: Optional[dict] = None,
-                            source: Optional[SourceTree] = None
+def verify_pmap_conformance(registry: Optional[dict] = None
                             ) -> list[Finding]:
     """Check every registered pmap (the live registry by default)."""
     if registry is None:
@@ -321,7 +322,7 @@ def verify_pmap_conformance(registry: Optional[dict] = None,
         registry = registered_pmaps()
     findings: list[Finding] = []
     for name in sorted(registry):
-        findings += verify_pmap_class(name, registry[name], source)
+        findings += verify_pmap_class(name, registry[name])
     return findings
 
 
@@ -332,81 +333,31 @@ def verify_pmap_conformance(registry: Optional[dict] = None,
 #: Methods every pager must export (the v2 calling convention).
 PAGER_CONTRACT_METHODS = ("data_request", "data_write", "name")
 
-#: Capability flag -> the optional hook it promises.  A pager whose
-#: declared capabilities name a hook it does not implement *lies*, the
-#: pager-side equivalent of a pmap mutating without a shootdown.
-PAGER_CAPABILITY_METHODS = {
-    "has_data": "has_data",
-    "has_slot": "has_slot",
-    "move_slots": "move_slots",
-    "release_object": "release_object",
-    "lock_value_for": "lock_value_for",
-    "data_unlock": "data_unlock",
-    "pager_init": "pager_init",
-}
-
-#: data_request parameters after ``self`` under protocol v2; the fifth
-#: (the readahead hint) must be optional so 4-argument call sites —
-#: the reference kernel's v1 shim included — keep working.
-_V2_REQUEST_ARITY = 5
-
 
 def _pager_interface_class() -> type:
     from repro.pager.protocol import PagerProtocol
     return PagerProtocol
 
 
-def _check_pager_signature(name: str, cls: type) -> list[Finding]:
-    impl = getattr(cls, "data_request", None)
-    if impl is None:
-        return []
-    try:
-        params = list(inspect.signature(impl).parameters.values())
-    except (ValueError, TypeError):
-        return []
-    if params and params[0].name == "self":
-        params = params[1:]
-    if any(p.kind is p.VAR_POSITIONAL for p in params):
-        return []
-    problems: list[str] = []
-    if len(params) < _V2_REQUEST_ARITY:
-        problems.append(
-            f"takes {len(params)} parameters, protocol v2 takes "
-            f"{_V2_REQUEST_ARITY} (obj, offset, length, desired_access, "
-            f"readahead_hint=0)")
-    else:
-        hint = params[_V2_REQUEST_ARITY - 1]
-        if hint.default is hint.empty:
-            problems.append(
-                f"readahead parameter {hint.name!r} has no default — "
-                f"v1 call sites (four arguments) could not call it")
-    if not problems:
-        return []
-    return [_finding(
-        cls, _method_lineno(impl), "v1-signature",
-        f"pager {name!r}: {cls.__name__}.data_request"
-        f"{inspect.signature(impl)} is not protocol v2: "
-        + "; ".join(problems),
-        where=f"{cls.__name__}.data_request")]
-
-
 def _check_pager_capabilities(name: str, cls: type) -> list[Finding]:
-    from repro.pager.protocol import PagerCapabilities
+    """A declared capability is a promise the kernel dispatches on: a
+    pager whose declaration names a hook it does not implement *lies*,
+    the pager-side equivalent of a pmap mutating without a shootdown."""
+    from repro.pager.protocol import CAPABILITY_HOOKS, PagerCapabilities
     caps = getattr(cls, "capabilities", None)
     if not isinstance(caps, PagerCapabilities):
         # Instance-level declaration (e.g. a transfer_size known only
         # at construction): nothing class-level to hold honest.
         return []
     findings: list[Finding] = []
-    for flag, method in sorted(PAGER_CAPABILITY_METHODS.items()):
-        if getattr(caps, flag) and not callable(getattr(cls, method,
-                                                        None)):
+    for hook in sorted(CAPABILITY_HOOKS):
+        if getattr(caps, hook) and not callable(getattr(cls, hook, None)):
             findings.append(_finding(
                 cls, _class_lineno(cls), "phantom-capability",
                 f"pager {name!r} ({cls.__name__}) declares capability "
-                f"{flag!r} but provides no {method}() — capabilities "
+                f"{hook!r} but provides no {hook}() — capabilities "
                 f"are promises the kernel dispatches on, not hints",
-                where=f"{cls.__name__}.{method}"))
+                where=f"{cls.__name__}.{hook}"))
     return findings
 
 
@@ -414,28 +365,14 @@ def verify_pager_class(name: str, cls: Type) -> list[Finding]:
     """Check one registered pager class against the protocol-v2
     contract; returns findings (empty when conformant)."""
     base = _pager_interface_class()
-    if not (isinstance(cls, type) and issubclass(cls, base)):
-        return [Finding(
-            PASS_NAME, getattr(cls, "__module__", "?"), 0,
-            "not-a-pager", getattr(cls, "__name__", repr(cls)),
-            f"registered pager {name!r} is not a PagerProtocol "
-            f"subclass")]
-    findings: list[Finding] = []
-    abstract = sorted(getattr(cls, "__abstractmethods__", ()))
-    if abstract:
-        findings.append(_finding(
-            cls, _class_lineno(cls), "incomplete-interface",
-            f"pager {name!r} ({cls.__name__}) is abstract: implement "
-            f"{', '.join(abstract)}"))
-    for method in PAGER_CONTRACT_METHODS:
-        if not callable(getattr(cls, method, None)):
-            findings.append(_finding(
-                cls, _class_lineno(cls), "missing-method",
-                f"pager {name!r} ({cls.__name__}) does not provide "
-                f"{method}()"))
-    findings += _check_pager_signature(name, cls)
-    findings += _check_pager_capabilities(name, cls)
-    return findings
+    wrong = _check_subclass("pager", name, cls, base)
+    if wrong:
+        return wrong
+    return (_check_coverage("pager", name, cls, base,
+                            PAGER_CONTRACT_METHODS)
+            + _check_signatures("pager", name, cls, base,
+                                PAGER_CONTRACT_METHODS)
+            + _check_pager_capabilities(name, cls))
 
 
 class _ProbeObject:
@@ -547,6 +484,6 @@ def verify_pager_conformance(registry: Optional[dict] = None
 def run_pass(source: Optional[SourceTree] = None) -> list[Finding]:
     """Flow-pass entry point.  Conformance follows the *live*
     registries (inheritance resolved exactly as the kernel will at
-    boot); *source* only spares re-reading the pmap modules."""
-    return verify_pmap_conformance(source=source) \
-        + verify_pager_conformance()
+    boot), so it reads nothing of the runner's *source*: the ``repro``
+    tree's imports are the ``layering`` pass's."""
+    return verify_pmap_conformance() + verify_pager_conformance()

@@ -158,6 +158,19 @@ class SourceLines(Sequence):
         return self._split()[index]
 
 
+def module_files(root: Path, package: str) -> dict[str, str]:
+    """``{dotted module: path}`` for every ``.py`` file under *root*,
+    the directory of *package*, in path order (one directory walk)."""
+    top = str(root)
+    found = []
+    for dirpath, _dirs, names in os.walk(top):
+        parts = [p for p in dirpath[len(top):].split(os.sep) if p]
+        found += [(*parts, n) for n in names if n.endswith(".py")]
+    return {".".join([package, *parts[:-1], parts[-1][:-3]])
+            .removesuffix(".__init__"): os.path.join(top, *parts)
+            for parts in sorted(found)}
+
+
 class SourceTree:
     """Every source file under *root* (the installed ``repro`` package
     by default), read as bytes in one directory walk, in path order,
@@ -179,20 +192,13 @@ class SourceTree:
             root = Path(repro.__file__).resolve().parent
         self.root = Path(root)
         self.package = package
-        top = str(self.root)
-        found = []
-        for dirpath, _dirs, names in os.walk(top):
-            parts = [p for p in dirpath[len(top):].split(os.sep) if p]
-            found += [(*parts, n) for n in names if n.endswith(".py")]
         #: ``{dotted module: (path, bytes, sha256 hex digest)}``
         self.files: dict[str, tuple[str, bytes, str]] = {}
-        for parts in sorted(found):
-            path = os.path.join(top, *parts)
+        for module, path in module_files(self.root, package).items():
             with open(path, "rb") as handle:
                 data = handle.read()
-            module = ".".join([package, *parts[:-1], parts[-1][:-3]])
-            self.files[module.removesuffix(".__init__")] = (
-                path, data, hashlib.sha256(data).hexdigest())
+            self.files[module] = (path, data,
+                                  hashlib.sha256(data).hexdigest())
         self._trees: dict[str, ast.Module] = {}
 
     @cached_property
@@ -559,14 +565,14 @@ def run_flow_passes(root: Optional[Path] = None, package: str = "repro",
     finally:
         _POOL_STATE = None
 
-    errored_modules = {e.message.split(":", 1)[0]
-                       for e in report.errors}
     for m in to_analyze:
         by_pass = results[m]
         raw_by_source[m] = _findings_from(
             f for found in by_pass.values() for f in found)
         report.analyzed.append(m)
-        if cache is not None and m not in errored_modules:
+        if cache is not None:
+            # A pass that crashed on m is missing from by_pass, so the
+            # next run misses this entry and analyzes m again.
             cache.store_module(m, keys[m], by_pass)
 
     for name in tree_names:

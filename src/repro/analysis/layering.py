@@ -26,9 +26,14 @@ enforces the boundary as import rules:
   only the shared vocabulary (``core.constants``, ``core.errors``);
   reaching into address maps, objects or the resident table would let
   MD code depend on MI mutable state, inverting the paper's contract.
+  ``from repro.core import constants`` breaks it too: the lint cannot
+  see that ``repro.core``'s ``__init__`` is lazy.
 * **pmap-imports-upper-layer** / **hw-imports-upper-layer** — the
   dependency order is ``hw`` < ``pmap`` < machine-independent VM <
-  drivers; lower layers never import upward.  One telemetry exception:
+  drivers; lower layers never import upward.  The two pmap rules are
+  decided by :func:`pmap_import_rule` alone: this lint applies it to
+  every pmap module of the tree, and the ``conformance`` pass to
+  registered pmaps defined outside it.  One telemetry exception:
   ``repro.obs.bus`` (the event bus every layer emits into) is
   standard-library self-contained and importable from anywhere; the
   rest of ``repro.obs`` remains an upper layer.
@@ -52,7 +57,8 @@ enforces the boundary as import rules:
 It runs as the ``layering`` whole-tree pass of
 :func:`repro.analysis.flow.run_flow_passes` (``python -m repro check
 --lint-only``), or through :func:`lint_package` directly; each problem
-is a :class:`~repro.analysis.flow.Finding` of pass ``layering``.
+is a :class:`~repro.analysis.flow.Finding` of pass ``layering``, at
+most one per import line and rule.
 """
 
 from __future__ import annotations
@@ -98,7 +104,7 @@ UPPER_LAYERS = ("pager", "ipc", "fs", "unix", "bench", "baseline",
 
 
 #: Part of the cache key: bump on any rule/behavior change.
-LINT_VERSION = "4"
+LINT_VERSION = "5"
 
 
 def _violation(module: str, lineno: int, rule: str,
@@ -181,6 +187,15 @@ class _ImportCollector(NodeVisitor):
                 self._add(f"{base}.{alias.name}", node.lineno)
 
 
+def import_sites(tree: ast.AST, module: str, is_package: bool,
+                 known_modules: set[str]) -> list[ImportSite]:
+    """Every import in *module*'s parsed *tree*; ``from P import m``
+    names module ``P.m`` too when it is one of *known_modules*."""
+    collector = _ImportCollector(module, is_package, known_modules)
+    collector.visit(tree)
+    return collector.sites
+
+
 def collect_imports(root: Path, package: str = "repro",
                     source: Optional[SourceTree] = None
                     ) -> dict[str, list[ImportSite]]:
@@ -193,13 +208,10 @@ def collect_imports(root: Path, package: str = "repro",
     if source is None:
         source = SourceTree(root, package)
     known = set(source.files)
-    result: dict[str, list[ImportSite]] = {}
-    for module, (path, _data, _digest) in source.files.items():
-        collector = _ImportCollector(
-            module, os.path.basename(path) == "__init__.py", known)
-        collector.visit(source.parse(module))
-        result[module] = collector.sites
-    return result
+    return {module: import_sites(source.parse(module), module,
+                                 os.path.basename(path) == "__init__.py",
+                                 known)
+            for module, (path, _data, _digest) in source.files.items()}
 
 
 def _strip(name: str, package: str) -> Optional[str]:
@@ -214,6 +226,37 @@ def _strip(name: str, package: str) -> Optional[str]:
 
 def _within(module: str, layer: str) -> bool:
     return module == layer or module.startswith(layer + ".")
+
+
+def pmap_import_rule(target: str, package: str = "repro"
+                     ) -> Optional[tuple[str, str]]:
+    """The rule a pmap module breaks by importing *target* (an absolute
+    dotted name), as ``(rule, message)``; None when the import is
+    allowed.  The one statement of the Section 3.6 clause that a pmap
+    takes all VM information through its interface."""
+    tgt = _strip(target, package)
+    if tgt is None:
+        return None      # stdlib / external: out of scope
+    if _within(tgt, "core") and tgt not in VOCABULARY:
+        return ("pmap-imports-mi-state",
+                f"pmap module imports {target}; MD code may use only "
+                f"the shared vocabulary ({', '.join(VOCABULARY)}) — all "
+                f"other MI state arrives through Table 3-3 arguments")
+    if any(_within(tgt, up) for up in UPPER_LAYERS) \
+            and tgt not in TELEMETRY:
+        return ("pmap-imports-upper-layer",
+                f"pmap module imports {target}, which sits above the "
+                f"pmap layer")
+    return None
+
+
+def one_per_line(findings: list[Finding]) -> list[Finding]:
+    """At most one finding per module, import line and rule, sorted.
+    ``from P import m`` is two sites, ``P`` and ``P.m``; the later,
+    more specific one names the line."""
+    unique = {(f.module, f.lineno, f.rule): f for f in findings}
+    return sorted(unique.values(),
+                  key=lambda f: (f.module, f.lineno, f.rule))
 
 
 def lint_package(root: Path, package: str = "repro",
@@ -277,19 +320,10 @@ def lint_package(root: Path, package: str = "repro",
                     f"pmap interface (allowed: "
                     f"{', '.join(HW_SUBSTRATE)})"))
             if in_pmap:
-                if _within(tgt, "core") and tgt not in VOCABULARY:
-                    violations.append(_violation(
-                        module, site.lineno, "pmap-imports-mi-state",
-                        f"pmap module imports {site.target}; MD code "
-                        f"may use only the shared vocabulary "
-                        f"({', '.join(VOCABULARY)}) — all other MI "
-                        f"state arrives through Table 3-3 arguments"))
-                elif (any(_within(tgt, up) for up in UPPER_LAYERS)
-                        and tgt not in TELEMETRY):
-                    violations.append(_violation(
-                        module, site.lineno, "pmap-imports-upper-layer",
-                        f"pmap module imports {site.target}, which "
-                        f"sits above the pmap layer"))
+                broken = pmap_import_rule(site.target, package)
+                if broken:
+                    violations.append(_violation(module, site.lineno,
+                                                 *broken))
             if (_within(tgt, "analysis")
                     and (_within(mod_rel, "sched")
                          or any(_within(mod_rel, pkg)
@@ -319,8 +353,7 @@ def lint_package(root: Path, package: str = "repro",
                 cycle[0], 0, "import-cycle",
                 "module-level import cycle: " + " -> ".join(cycle)))
 
-    violations.sort(key=lambda v: (v.module, v.lineno, v.rule))
-    return violations
+    return one_per_line(violations)
 
 
 def lint_source_tree(source: Optional[SourceTree] = None

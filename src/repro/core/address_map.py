@@ -126,11 +126,6 @@ class AddressMap:
             yield entry
             entry = nxt
 
-    @property
-    def first_entry(self) -> Optional[MapEntry]:
-        """The lowest-addressed entry, or None when empty."""
-        return self._first
-
     def _link_after(self, prev: Optional[MapEntry], entry: MapEntry) -> None:
         """Insert *entry* after *prev* (or at the head when prev None)."""
         if prev is None:

@@ -106,12 +106,6 @@ class Deadline:
         """Simulated microseconds left before expiry (0 when past)."""
         return max(0.0, self._expiry_us - self._clock.now_us)
 
-    def wait_out(self) -> None:
-        """Advance the clock (I/O wait) to the deadline."""
-        remaining = self.remaining_us
-        if remaining > 0:
-            self._clock.wait(remaining)
-
     def __repr__(self) -> str:
         return f"Deadline(+{self.remaining_us:.1f}us)"
 

@@ -15,7 +15,7 @@ data integrity, not just bookkeeping.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.core.constants import is_power_of_two
 from repro.core.errors import ResourceShortageError
@@ -118,10 +118,6 @@ class PhysicalMemory:
     def is_valid(self, addr: int) -> bool:
         """True when *addr* is the base of a RAM frame (not a hole)."""
         return addr in self._valid
-
-    def iter_frames(self) -> Iterator[int]:
-        """All valid frame base addresses, ascending."""
-        return iter(sorted(self._valid))
 
     # ------------------------------------------------------------------
     # Data access (byte-addressed, may straddle nothing: one frame only)

@@ -48,8 +48,8 @@ from __future__ import annotations
 
 import abc
 import enum
-from dataclasses import dataclass, fields
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 
 class _Unavailable:
@@ -125,8 +125,8 @@ class PagerToKernel(enum.Enum):
     CACHE = "pager_cache"
 
 
-#: Hook names a capability record can declare (mirrored by the
-#: conformance pass's capability-honesty check).
+#: Hook names a capability record can declare (the conformance pass
+#: holds each declared one honest).
 CAPABILITY_HOOKS = ("has_data", "has_slot", "move_slots",
                     "release_object", "lock_value_for", "data_unlock",
                     "pager_init")
@@ -308,10 +308,3 @@ class PagerProtocol(abc.ABC):
     def name(self) -> str:
         """Human-readable pager identity."""
         return type(self).__name__
-
-
-def capability_flag_names() -> List[str]:
-    """The boolean flag names of :class:`PagerCapabilities` (used by
-    the conformance pass's honesty check)."""
-    return [f.name for f in fields(PagerCapabilities)
-            if f.type in ("bool", bool)]

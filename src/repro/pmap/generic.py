@@ -12,8 +12,9 @@ whatever structure refills the TLB.  It is also the reference
 implementation the other pmap modules are tested against.
 
 Conformance to the MI contract (Tables 3-3/3-4: coverage, signatures,
-shootdown-on-mutation, no reach-around imports) is verified statically
-by ``repro.analysis.conformance`` on every ``repro check`` run.
+shootdown-on-mutation) is verified statically by
+``repro.analysis.conformance``, and the module's imports by
+``repro.analysis.layering``, on every ``repro check`` run.
 """
 
 from __future__ import annotations

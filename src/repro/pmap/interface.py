@@ -628,14 +628,6 @@ class Pmap(abc.ABC):
         self.stats.forgets += 1
         self.remove(vaddr, vaddr + self.page_size)
 
-    def resident_mappings(self) -> int:
-        """How many Mach-page mappings this pmap currently holds (for
-        tests; derived from the pv table)."""
-        count = 0
-        for mappings in self.system._pv.values():
-            count += sum(1 for pmap, _ in mappings if pmap is self)
-        return count
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 

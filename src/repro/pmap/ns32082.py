@@ -23,8 +23,9 @@ The mapping structure itself is a two-level page table (pointer table of
 level-2 page tables), as on the real part.
 
 Conformance to the MI contract (Tables 3-3/3-4: coverage, signatures,
-shootdown-on-mutation, no reach-around imports) is verified statically
-by ``repro.analysis.conformance`` on every ``repro check`` run.
+shootdown-on-mutation) is verified statically by
+``repro.analysis.conformance``, and the module's imports by
+``repro.analysis.layering``, on every ``repro check`` run.
 """
 
 from __future__ import annotations

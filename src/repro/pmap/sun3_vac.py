@@ -25,8 +25,9 @@ Flushes are charged per page on the machine clock and counted in
 ``benchmarks/test_ablation_vac.py``).
 
 Conformance to the MI contract (Tables 3-3/3-4: coverage, signatures,
-shootdown-on-mutation, no reach-around imports) is verified statically
-by ``repro.analysis.conformance`` on every ``repro check`` run.
+shootdown-on-mutation) is verified statically by
+``repro.analysis.conformance``, and the module's imports by
+``repro.analysis.layering``, on every ``repro check`` run.
 """
 
 from __future__ import annotations

@@ -329,12 +329,6 @@ class Scheduler:
                 if sched_thread.state is ThreadState.FAILED:
                     raise sched_thread.error
 
-    @property
-    def all_done(self) -> bool:
-        """True when every spawned thread has finished."""
-        return all(t.state in (ThreadState.DONE, ThreadState.FAILED)
-                   for t in self.threads)
-
     def __repr__(self) -> str:
         states = {}
         for t in self.threads:

@@ -67,14 +67,6 @@ class UnixProcess:
         """The (address, size) of a named region."""
         return self.regions[name]
 
-    def data_address(self) -> int:
-        """Base address of the initialized data region."""
-        return self.regions["data"][0]
-
-    def stack_address(self) -> int:
-        """Base address of the stack region."""
-        return self.regions["stack"][0]
-
     # -- process lifecycle ---------------------------------------------------
 
     def fork(self) -> "UnixProcess":

@@ -59,6 +59,16 @@ class TestLintCatchesViolations:
         assert "pmap-imports-mi-state" in _rules(
             lint_package(tree, package="pkg"))
 
+    def test_one_finding_per_import_line(self, tree):
+        """``from pkg.core import kernel`` is two import sites,
+        ``pkg.core`` and ``pkg.core.kernel``: one line, one finding."""
+        (tree / "pmap" / "vax.py").write_text(
+            "from pkg.core import kernel\n")
+        violations = lint_package(tree, package="pkg")
+        assert [(v.module, v.lineno, v.rule) for v in violations] == [
+            ("pkg.pmap.vax", 1, "pmap-imports-mi-state")]
+        assert "pkg.core.kernel" in violations[0].message
+
     def test_pmap_importing_upper_layer(self, tree):
         (tree / "pmap" / "vax.py").write_text(
             "import pkg.bench.workloads\n")

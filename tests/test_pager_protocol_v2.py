@@ -161,8 +161,26 @@ class TestCapabilities:
             def name(self):
                 return "old"
 
-        rules = {f.rule for f in verify_pager_class("old", OldStyle)}
-        assert "v1-signature" in rules
+        (finding,) = [f for f in verify_pager_class("old", OldStyle)
+                      if f.where == "OldStyle.data_request"]
+        assert finding.rule == "signature-mismatch"
+        assert "readahead_hint" in finding.message
+
+    def test_conformance_flags_hint_without_default(self):
+        from repro.analysis.conformance import verify_pager_class
+        from repro.pager.protocol import PagerProtocol
+
+        class HintRequired(PagerProtocol):
+            def data_request(self, obj, offset, length, desired_access,
+                             readahead_hint):
+                return UNAVAILABLE
+
+            def data_write(self, obj, offset, data):
+                pass
+
+        (finding,) = verify_pager_class("hint", HintRequired)
+        assert finding.rule == "signature-mismatch"
+        assert "'readahead_hint' has no default" in finding.message
 
     def test_registered_pagers_conform(self):
         from repro.analysis.conformance import verify_pager_conformance

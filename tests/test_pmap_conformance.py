@@ -77,6 +77,29 @@ class TestNonconformingStub:
         assert verify_pmap_conformance() == []     # cleanup held
 
 
+class TestOutOfTreeImports:
+    """What a pmap module may import is the layering lint's rule; the
+    conformance pass applies it to pmaps defined outside the tree."""
+
+    def test_each_offending_line_is_one_finding(self):
+        cls = _load_fixture("mi_importing_pmap").MiImportingPmap
+        findings = verify_pmap_class("mi-importing", cls)
+        assert [(f.module, f.lineno, f.rule) for f in findings] == [
+            ("mi_importing_pmap", 12, "pmap-imports-upper-layer"),
+            ("mi_importing_pmap", 13, "pmap-imports-mi-state")]
+        assert "repro.ipc.port" in findings[0].message
+        assert "repro.core.vm_object" in findings[1].message
+
+    def test_porting_example_is_clean(self):
+        path = (Path(__file__).parent.parent / "examples"
+                / "port_to_new_mmu.py")
+        spec = importlib.util.spec_from_file_location("port_to_new_mmu",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        assert verify_pmap_class("i386-style", module.I386StylePmap) == []
+
+
 class TestDegenerateClasses:
     def test_non_pmap_class_is_rejected(self):
         findings = verify_pmap_class("weird", int)
