@@ -38,9 +38,9 @@ For every registered pmap class the verifier also checks:
 
 * **TLB invalidation** — an override of a mutating operation
   (``enter``/``remove``/``protect``/``forget``) must either delegate
-  to ``super()`` (whose implementation shoots down) or call
-  ``shootdown`` itself; a pmap that mutates silently would *lie*
-  (rule ``missing-invalidate``);
+  to ``super()`` (whose implementation shoots down) without passing a
+  false literal for ``shoot``, or call ``shootdown`` itself; a pmap
+  that mutates silently would *lie* (rule ``missing-invalidate``);
 * **declared table shape** — a pmap that inherits the base class's
   table walk (``_hw_iter``) must declare ``TABLE_SPAN``, the bytes one
   of its second-level tables maps; without it the first range
@@ -77,7 +77,7 @@ from repro.analysis.layering import (
 PASS_NAME = "conformance"
 
 #: Part of the incremental-cache key: bump on any behavior change.
-PASS_VERSION = "4"
+PASS_VERSION = "5"
 
 #: Methods every pmap must export (Table 3-3 + 3-4 + simulation hooks).
 CONTRACT_METHODS = (
@@ -207,9 +207,21 @@ def _method_ast(func) -> Optional[ast.FunctionDef]:
     return None
 
 
-def _invalidates(func_ast: ast.AST, method: str) -> bool:
+def _passes_no_shoot(call: ast.Call, shoot_at: Optional[int]) -> bool:
+    """Does *call* pass a false literal for ``shoot`` (positional index
+    *shoot_at*, ``None`` when the method has no such parameter), by
+    keyword or by position?"""
+    if shoot_at is None:
+        return False
+    values = [kw.value for kw in call.keywords if kw.arg == "shoot"]
+    values += call.args[shoot_at:shoot_at + 1]
+    return any(isinstance(v, ast.Constant) and not v.value for v in values)
+
+
+def _invalidates(func_ast: ast.AST, method: str,
+                 shoot_at: Optional[int]) -> bool:
     """Does the method body call super().<method>(...) (which shoots
-    down) or a .shootdown(...) itself?"""
+    down, unless told ``shoot=False``) or a .shootdown(...) itself?"""
     for node in walk(func_ast):
         if not isinstance(node, ast.Call):
             continue
@@ -219,7 +231,8 @@ def _invalidates(func_ast: ast.AST, method: str) -> bool:
                 return True
             if func.attr == method and isinstance(func.value, ast.Call) \
                     and isinstance(func.value.func, ast.Name) \
-                    and func.value.func.id == "super":
+                    and func.value.func.id == "super" \
+                    and not _passes_no_shoot(node, shoot_at):
                 return True
     return False
 
@@ -234,7 +247,9 @@ def _check_invalidation(name: str, cls: type, base: type) -> list[Finding]:
         func_ast = _method_ast(impl)
         if func_ast is None:      # no source (REPL / exec); cannot judge
             continue
-        if not _invalidates(func_ast, method):
+        params = list(inspect.signature(ref).parameters)[1:]
+        shoot_at = params.index("shoot") if "shoot" in params else None
+        if not _invalidates(func_ast, method, shoot_at):
             findings.append(_finding(
                 cls, _method_lineno(impl), "missing-invalidate",
                 f"pmap {name!r}: {cls.__name__}.{method}() mutates "

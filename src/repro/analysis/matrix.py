@@ -3,13 +3,14 @@
 
 A :class:`Cell` runs one scenario from :mod:`repro.analysis.scenarios`
 on one pmap under one Section 5.2 strategy, with a seed and its
-:class:`Arm` flags: the sanitizer, the race detector under a seeded-random
-schedule, or the fault injector (after which a fresh task must still
-work).  :func:`run_cell` boots, arms, runs the body, then
-:func:`settle_and_audit`; anything that raises, boot included, fails
-that cell alone.  A view's row is a tuple of cells (:func:`run_row`)
-that stops at its first failure and sums its counters; the views build
-rows, fan them out over the flow passes' fork pool and format lines.
+:class:`Arm` flags: the sanitizer or the race detector, each watching
+threads under a seeded-random schedule, or the fault injector (after
+which a fresh task must still work).  :func:`run_cell` boots, arms,
+runs the body, then :func:`settle_and_audit`; anything that raises,
+boot included, fails that cell alone.  A view's row is a tuple of
+cells (:func:`run_row`) that stops at its first failure and sums its
+counters; the views build rows, fan them out over the flow passes'
+fork pool and format lines.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from repro.analysis.invariants import (
 )
 from repro.analysis.race import RaceDetector
 from repro.analysis.scenarios import (
-    CHECK,
     EXPLORE,
     FAULTS,
     STORMS,
@@ -41,7 +41,6 @@ from repro.analysis.schedules import (
     explore_schedules,
 )
 from repro.bench.testing import BENCH_ARCHS, QUICK_ARCHS, make_spec
-from repro.bench.workloads import MachSUT
 from repro.core.kernel import MachKernel
 from repro.inject.injector import FaultInjector
 from repro.pmap.interface import ShootdownStrategy
@@ -68,13 +67,11 @@ def cell_seed(base: int, *parts: str) -> int:
 
 def boot(arch: str,
          strategy: ShootdownStrategy = ShootdownStrategy.IMMEDIATE,
-         sut: bool = False, **machine):
-    """Boot *arch*'s swept machine with *machine* overrides: a bare
-    :class:`MachKernel`, or a :class:`MachSUT` when *sut*."""
+         **machine) -> MachKernel:
+    """Boot *arch*'s swept machine with *machine* overrides."""
     spec = make_spec(name=f"sweep-{arch}", pmap_name=arch,
                      **{**BENCH_ARCHS[arch], **machine})
-    system = MachSUT if sut else MachKernel
-    return system(spec, shootdown=strategy)
+    return MachKernel(spec, shootdown=strategy)
 
 
 def settle_and_audit(kernel: MachKernel) -> None:
@@ -115,8 +112,9 @@ class Cell:
     arch: str
     scenario: Scenario
     strategy: ShootdownStrategy = ShootdownStrategy.IMMEDIATE
-    #: The injector's fault seed; the detector schedules each scenario
-    #: of a row with ``cell_seed(seed, arch, strategy, scenario)``.
+    #: The injector's fault seed; sanitizer and detector cells schedule
+    #: each scenario of a row with ``cell_seed(seed, arch, strategy,
+    #: scenario)``.
     seed: int = 0
     arms: Arm = Arm.NONE
     quick: bool = False
@@ -155,14 +153,11 @@ def _run_once(cell: Cell,
     result = CellResult(cell)
     scene = Scene(quick=cell.quick)
     try:
-        system = boot(cell.arch, cell.strategy, scenario.sut,
-                      **scenario.machine)
-        if scenario.sut:
-            scene.sut = system
-        scene.kernel = kernel = system.kernel if scenario.sut else system
+        scene.kernel = kernel = boot(cell.arch, cell.strategy,
+                                     **scenario.machine)
         if Arm.SANITIZER in cell.arms:
             install_sanitizer(kernel)
-        if Arm.DETECTOR in cell.arms:
+        if cell.arms & (Arm.SANITIZER | Arm.DETECTOR):
             if policy is None:
                 policy = SeededRandomPolicy(cell_seed(
                     cell.seed, cell.arch, cell.strategy.value,
@@ -170,6 +165,7 @@ def _run_once(cell: Cell,
             scene.sched = Scheduler(
                 kernel, timer_tick_every=scenario.tick_every,
                 policy=policy)
+        if Arm.DETECTOR in cell.arms:
             scene.detector = RaceDetector(kernel, scene.sched).install()
         if Arm.INJECTOR in cell.arms:
             scene.injector = FaultInjector(cell.seed, scenario.faults)
@@ -244,9 +240,9 @@ def run_matrix(rows: Iterable[Sequence[Cell]], jobs: Optional[int] = None,
 # -- repro check: the sanitizer over every pmap
 
 def sweep_row(arch: str, scenario: str) -> tuple[Cell, ...]:
-    check = CHECK[scenario]
-    return tuple(Cell(arch, check, strategy, arms=Arm.SANITIZER)
-                 for strategy in check.strategies)
+    storm = STORMS[scenario]
+    return tuple(Cell(arch, storm, strategy, arms=Arm.SANITIZER)
+                 for strategy in storm.strategies)
 
 
 def sweep_line(result: CellResult) -> str:
@@ -262,7 +258,7 @@ def run_sweeps(archs=None, verbose: bool = False,
                jobs: Optional[int] = None) -> list[CellResult]:
     """Every (architecture, check scenario) row, sanitizer armed."""
     rows = [sweep_row(arch, name) for arch in (archs or BENCH_ARCHS)
-            for name in CHECK]
+            for name in STORMS]
     return run_matrix(rows, jobs, sweep_line if verbose else None)
 
 

@@ -3,16 +3,16 @@
 Every body takes the :class:`Scene` that :mod:`repro.analysis.matrix`
 booted and armed, and returns how many typed ``VMError`` exceptions it
 absorbed (``None`` for none); anything else escaping fails its cell.
-The runner settles and audits after the body.  One table per view:
-:data:`CHECK` (``repro check``, sanitizer armed), :data:`FAULTS`
-(``faultsweep``, each scenario's fault profile injected), :data:`STORMS`
-and :data:`EXPLORE` (``races``, threads under the race detector).
+The runner settles and audits after the body.  :data:`STORMS` are
+threads under a seeded schedule: ``repro check`` runs them with the
+sanitizer armed and ``races`` under the race detector.  :data:`FAULTS`
+is ``faultsweep``'s table (each scenario's fault profile injected) and
+:data:`EXPLORE` the schedule explorer's workload.
 
-The check and storm tables share three names but not bodies, and
-neither set subsumes the other: a ``pmap_protect`` that raises
-protection fails the check fork+COW and pageout rows but no storm row.
-Merge a pair only when a mutation check shows the merged body catching
-what both caught.
+A body earns its place by what it kills in the mutation kill matrix
+(``mutation/``): merge two bodies when the merged one kills every
+mutant both killed, and add one only when it kills a mutant no other
+body kills.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.analysis.race import RaceDetector
-from repro.bench.workloads import MachSUT, measure_fork, measure_zero_fill
 from repro.core.constants import VMProt
 from repro.core.errors import VMError
 from repro.core.kernel import MachKernel
@@ -38,19 +37,13 @@ from repro.pager.vnode_pager import map_file
 from repro.pmap.interface import ShootdownStrategy
 from repro.sched.scheduler import Scheduler
 
-KB = 1024
-
-
 @dataclass
 class Scene:
     """What a scenario body runs against: the booted kernel and the
     cell's arms (``None`` when not armed)."""
 
     kernel: Optional[MachKernel] = None
-    #: The Table 7-1 system under test (kernel + UNIX emulation), for
-    #: scenarios booted with ``sut=True``.
-    sut: Optional[MachSUT] = None
-    #: The seeded scheduler the race detector watches.
+    #: The seeded scheduler the storms' threads run under.
     sched: Optional[Scheduler] = None
     detector: Optional[RaceDetector] = None
     injector: Optional[FaultInjector] = None
@@ -67,10 +60,7 @@ class Scenario:
     machine: dict = field(default_factory=dict)
     #: The injector arm's fault profile.
     faults: Optional[FaultConfig] = None
-    #: Boot a :class:`~repro.bench.workloads.MachSUT` instead of a bare
-    #: kernel.
-    sut: bool = False
-    #: Scheduler timer period, in slices, under the detector arm.
+    #: Scheduler timer period, in slices.
     tick_every: int = 4
     #: The strategies one check row runs, each on a fresh kernel.
     strategies: tuple = (ShootdownStrategy.IMMEDIATE,)
@@ -78,73 +68,6 @@ class Scenario:
 
 def _table(*scenarios: Scenario) -> dict[str, Scenario]:
     return {scenario.name: scenario for scenario in scenarios}
-
-
-# -- check: serial workloads under the sanitizer
-
-def _check_fork_cow(scene: Scene) -> None:
-    """Table 7-1 workloads with the sanitizer armed throughout."""
-    sut = scene.sut
-    measure_zero_fill(sut)
-    measure_fork(sut, dirty_bytes=64 * KB)
-    # A second fork generation deepens the shadow chains.
-    proc = sut.create_process()
-    addr = sut.dirty_data(proc, 32 * KB)
-    child = sut.fork_op(proc)
-    child.task.write(addr, b"child writes through COW")
-    grandchild = sut.fork_op(child)
-    grandchild.task.write(addr, b"grandchild too")
-    sut.reap(grandchild)
-    sut.reap(child)
-
-
-def _check_pageout(scene: Scene) -> None:
-    """Overcommit a small machine so the paging daemon must steal."""
-    kernel = scene.kernel
-    page = kernel.page_size
-    task = kernel.task_create(name="hog")
-    addr = task.vm_allocate(64 * page)
-    for off in range(0, 64 * page, page):
-        task.write(addr + off, bytes([off // page % 255 + 1]))
-    child = task.fork()
-    child.write(addr, b"fork under pressure")
-    kernel.pageout_daemon.run()
-    # Refault a few evicted pages (pagein from the default pager).
-    for off in range(0, 16 * page, page):
-        assert task.read(addr + off, 1)[0] == off // page % 255 + 1
-    child.terminate()
-    kernel.pageout_daemon.run()
-
-
-def _check_shootdown(scene: Scene) -> None:
-    """Cross-CPU mapping changes under one Section 5.2 strategy."""
-    kernel = scene.kernel
-    page = kernel.page_size
-    strategy = kernel.pmap_system.strategy
-    task = kernel.task_create(name=f"smp-{strategy.value}")
-    addr = task.vm_allocate(8 * page)
-    # Touch from several CPUs so each TLB caches translations.
-    for cpu_id in range(3):
-        kernel.set_current_cpu(cpu_id)
-        for off in range(0, 8 * page, page):
-            task.write(addr + off, b"x")
-    # Mutate the mappings from CPU 0: lower protection, then
-    # deallocate half the range.
-    kernel.set_current_cpu(0)
-    task.vm_protect(addr, 4 * page, False, VMProt.READ)
-    task.vm_deallocate(addr + 4 * page, 4 * page)
-    # Read through the demoted range from another CPU.
-    kernel.set_current_cpu(1)
-    for off in range(0, 4 * page, page):
-        task.read(addr + off, 1)
-
-
-CHECK = _table(
-    Scenario("fork+COW", _check_fork_cow, sut=True),
-    Scenario("pageout-pressure", _check_pageout, dict(memory_frames=32)),
-    Scenario("shootdown", _check_shootdown, dict(ncpus=4),
-             strategies=tuple(ShootdownStrategy)),
-)
 
 
 # -- faultsweep: workloads that keep using memory while faults land
@@ -366,9 +289,9 @@ FAULTS = _table(
 )
 
 
-# -- races: threads under a seeded schedule, race detector armed
+# -- storms: threads under a seeded schedule (check and races)
 
-def _storm_fork_cow(scene: Scene) -> None:
+def _fork_cow(scene: Scene) -> None:
     """Forking under preemption: COW protect/copy shootdowns while
     parent, child and grandchild threads keep writing."""
     kernel, sched = scene.kernel, scene.sched
@@ -400,9 +323,12 @@ def _storm_fork_cow(scene: Scene) -> None:
     sched.run()
     child.terminate()
     grandchild.terminate()
+    # A child that exits while its parent still shares every object:
+    # the references it drops must balance the ones the fork took.
+    parent.fork().terminate()
 
 
-def _storm_pageout(scene: Scene) -> None:
+def _pageout(scene: Scene) -> None:
     """Memory pressure under preemption: the paging daemon's forced
     shootdowns against threads holding warm TLB entries."""
     kernel, sched = scene.kernel, scene.sched
@@ -428,10 +354,16 @@ def _storm_pageout(scene: Scene) -> None:
     for task in hogs:
         sched.spawn(task, hog, name=f"{task.name}-t")
     sched.run()
+    # Fork under pressure: the daemon steals from copy-on-write memory
+    # the parent and child still share.
+    child = hogs[0].fork()
+    child.write(spans[0], b"fork under pressure")
+    kernel.pageout_daemon.run()
+    child.terminate()
     kernel.pageout_daemon.run()
 
 
-def _storm_shootdown(scene: Scene) -> None:
+def _shootdown(scene: Scene) -> None:
     """Cross-CPU protect/deallocate against concurrent readers: the
     Section 5.2 scenario itself."""
     kernel, sched = scene.kernel, scene.sched
@@ -469,10 +401,11 @@ def _storm_shootdown(scene: Scene) -> None:
 
 
 STORMS = _table(
-    Scenario("fork+COW", _storm_fork_cow, dict(ncpus=4)),
-    Scenario("pageout-pressure", _storm_pageout,
+    Scenario("fork+COW", _fork_cow, dict(ncpus=4)),
+    Scenario("pageout-pressure", _pageout,
              dict(ncpus=4, memory_frames=48)),
-    Scenario("shootdown", _storm_shootdown, dict(ncpus=4)),
+    Scenario("shootdown", _shootdown, dict(ncpus=4),
+             strategies=tuple(ShootdownStrategy)),
 )
 
 

@@ -66,7 +66,7 @@ from repro.analysis.matrix import (
     run_races,
     run_sweeps,
 )
-from repro.analysis.scenarios import CHECK, FAULTS, STORMS
+from repro.analysis.scenarios import FAULTS, STORMS
 from repro.bench.testing import BENCH_ARCHS
 from repro.core.constants import FaultType, VMInherit
 from repro.core.kernel import MachKernel
@@ -534,7 +534,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0
 
     archs = [args.arch] if args.arch else None
-    print(f"\ninvariant sweeps: {', '.join(CHECK)} "
+    print(f"\ninvariant sweeps: {', '.join(STORMS)} "
           f"on {', '.join(archs or BENCH_ARCHS)} ...")
     results = run_sweeps(archs=archs, verbose=True, jobs=args.jobs)
     failed = [r for r in results if not r.ok]

@@ -77,6 +77,23 @@ class TestNonconformingStub:
         assert verify_pmap_conformance() == []     # cleanup held
 
 
+class TestUnshotDelegation:
+    """Delegating to ``super()`` invalidates only if the call leaves
+    ``shoot`` on."""
+
+    @pytest.mark.parametrize("cls_name", ["KeywordUnshotPmap",
+                                          "PositionalUnshotPmap"])
+    def test_false_shoot_is_missing_invalidate(self, cls_name):
+        cls = getattr(_load_fixture("unshot_delegating_pmap"), cls_name)
+        findings = verify_pmap_class("unshot", cls)
+        assert [(f.rule, f.where) for f in findings] == [
+            ("missing-invalidate", f"{cls_name}.remove")]
+
+    def test_forwarding_shoot_is_clean(self):
+        from repro.pmap.sun3_vac import Sun3VacPmap
+
+        assert verify_pmap_class("sun3_vac", Sun3VacPmap) == []
+
 class TestOutOfTreeImports:
     """What a pmap module may import is the layering lint's rule; the
     conformance pass applies it to pmaps defined outside the tree."""

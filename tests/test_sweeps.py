@@ -27,7 +27,7 @@ from repro.analysis.matrix import (
     run_sweeps,
     sweep_line,
 )
-from repro.analysis.scenarios import CHECK
+from repro.analysis.scenarios import STORMS
 from repro.pmap.interface import ShootdownStrategy
 
 
@@ -45,8 +45,8 @@ def _crash_on_vax(scene) -> None:
 def crashing_workload(monkeypatch):
     """Replace the fork+COW workload with one that raises outright
     (not a SanitizerError — an unexpected crash)."""
-    monkeypatch.setitem(CHECK, "fork+COW",
-                        replace(CHECK["fork+COW"], body=_crashing))
+    monkeypatch.setitem(STORMS, "fork+COW",
+                        replace(STORMS["fork+COW"], body=_crashing))
 
 
 def _cells(results: list[CellResult]):
@@ -70,7 +70,7 @@ class TestFailurePropagation:
         cells still run and report (no hang, no lost results)."""
         results = run_sweeps(archs=["generic"], jobs=2)
         by_cell = _cells(results)
-        assert len(results) == len(CHECK)
+        assert len(results) == len(STORMS)
         crashed = by_cell[("generic", "fork+COW")]
         assert not crashed.ok
         assert "RuntimeError" in crashed.error
@@ -88,7 +88,7 @@ class TestHealthySweep:
     def test_generic_matrix_is_clean(self):
         results = run_sweeps(archs=["generic"])
         assert all(r.ok for r in results)
-        assert len(results) == len(CHECK)
+        assert len(results) == len(STORMS)
 
 
 ARCHS = ["generic", "vax"]
@@ -97,7 +97,7 @@ ARCHS = ["generic", "vax"]
 #: its line format, its row count)
 VIEWS = {
     "check": (lambda jobs: run_sweeps(archs=ARCHS, jobs=jobs),
-              scenarios.CHECK, "fork+COW", sweep_line, 6),
+              scenarios.STORMS, "fork+COW", sweep_line, 6),
     "faultsweep": (lambda jobs: run_faultsweep(
         archs=ARCHS, scenarios=["pager-stall", "ipc-loss"], quick=True,
         jobs=jobs), scenarios.FAULTS, "pager-stall", fault_line, 4),
