@@ -15,9 +15,9 @@ pytest job's name to its test files.  It prints
   when the job timed out.  ``run.py`` compares it with the clean tree's;
 * every ``repro check`` sweep row, ``races --quick`` storm cell,
   ``races --explore`` and ``faultsweep --quick`` row, with *detail*
-  naming what failed it: ``sanitizer <kind>`` (the invariant audit),
-  ``detector race`` (a race report) or ``body <exception type>`` (the
-  scenario's own assertion, or a crash);
+  naming what failed it: ``sanitizer <kind>`` (the invariant audit) or
+  ``body <exception type>`` (the scenario's own assertion, or a
+  crash);
 * every pytest job (``pytest -x``, Hypothesis seed 0, no example
   database), with the first failing test's id as *detail*.
 """
@@ -107,12 +107,12 @@ def _static():
     return sorted(found)
 
 
-def _via(result) -> str:
-    if result.violation:
-        return "sanitizer " + result.violation.split("]")[0].lstrip("[")
-    if result.race and not result.error:
-        return "detector race"
-    return "body " + result.error.split(":")[0]
+def _via(detail: str) -> str:
+    """What failed a row, from its violation (``[kind] ...``) or its
+    error (``Type: message``)."""
+    if detail.startswith("["):
+        return "sanitizer " + detail.split("]")[0].lstrip("[")
+    return "body " + detail.split(":")[0]
 
 
 def _rows(jobs) -> dict:
@@ -136,8 +136,9 @@ def _rows(jobs) -> dict:
             result = (False, f"body {type(exc).__name__}")
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-        ok, detail = result if isinstance(result, tuple) \
-            else (result.ok, "" if result.ok else _via(result))
+        ok, detail = result if isinstance(result, tuple) else (
+            result.ok,
+            "" if result.ok else _via(result.violation or result.error))
         rows[checker] = ["survived", ""] if ok else ["killed", detail]
     return rows
 
@@ -150,15 +151,14 @@ def _families() -> list:
 
     def explore():
         failures = matrix.explore_shootdown().failures
-        return not failures, "detector explore" if failures else ""
+        return not failures, _via(failures[0][1]) if failures else ""
 
     check = [(f"check/{arch}/{name}",
               lambda a=arch, n=name: matrix.run_row(matrix.sweep_row(a, n)))
              for arch in matrix.default_archs() for name in STORMS]
     races = [(f"races/{arch}/{strategy.value}/{name}",
               lambda a=arch, s=strategy, st=storm: matrix.run_cell(
-                  matrix.Cell(a, st, s, matrix.RACE_SEED,
-                              matrix.Arm.DETECTOR)))
+                  matrix.Cell(a, st, s, matrix.RACE_SEED)))
              for arch in matrix.default_archs(quick=True)
              for strategy in ShootdownStrategy
              for name, storm in STORMS.items()]

@@ -16,8 +16,8 @@ The checkers:
   ``races/<arch>/<strategy>/<storm>`` — each storm cell of a
   ``races --quick`` row; ``races/explore``; and
   ``faults/<arch>/<scenario>`` — each ``faultsweep --quick`` row (see
-  ``checkers.py`` for how a kill is attributed to the sanitizer, the race
-  detector or the scenario body);
+  ``checkers.py`` for how a kill is attributed to the sanitizer or the
+  scenario body);
 * ``difftest`` — the differential corpus, ``tests/difftest``;
 * ``tier1/<group>`` — tier-1's other test files, in the groups below,
   each run with ``pytest -x``.
@@ -167,13 +167,12 @@ def verdicts_of(raw: dict, clean: dict, checkers: list[str]) -> dict:
 
 def _units(checkers: list[str]) -> dict[str, object]:
     """The judged units, each a predicate over (checker, detail): the
-    ``src/`` checkers first (each static pass, the sanitizer, the race
-    detector, each view's scenario bodies), then the tests."""
+    ``src/`` checkers first (each static pass, the sanitizer, each
+    view's scenario bodies), then the tests."""
     units: dict[str, object] = {
         f"static/{name}": (lambda c, v, n=name: c == f"static/{n}")
         for name in STATIC}
     units["sanitizer"] = lambda c, v: v.startswith("sanitizer")
-    units["detector"] = lambda c, v: v.startswith("detector")
     for view in ("check", "races", "faults"):
         for scenario in sorted({c.rsplit("/", 1)[1] for c in checkers
                                 if c.startswith(f"{view}/")

@@ -5,17 +5,18 @@
   hardware substrate), the ``layering`` whole-tree pass, and the one
   owner of the rule for what a pmap module may import;
 * :mod:`repro.analysis.invariants` — runtime sanitizer proving every
-  pmap/TLB translation is a subset of machine-independent truth;
-* :mod:`repro.analysis.race` — the concurrency sanitizer: the
+  pmap/TLB translation is a subset of machine-independent truth, and
+  the one judge of TLB coherence: a TLB may stay stale only inside the
+  window its Section 5.2 shootdown strategy allows;
+* :mod:`repro.analysis.race` — the concurrency lints: the
   ``#: guarded-by`` contract (its static lint, the ``concurrency``
-  whole-tree pass), the ``atomicity`` flow
-  pass (stale shared state across a may-yield call, judged on the
-  shared call-graph summaries), and a vector-clock happens-before
-  checker for TLB shootdown;
+  whole-tree pass) and the ``atomicity`` flow pass (stale shared state
+  across a may-yield call, judged on the shared call-graph summaries);
 * :mod:`repro.analysis.matrix` — the one arch x scenario runner behind
-  the ``check`` sweeps, ``faultsweep`` and ``races``: cells armed with
-  the sanitizer, the race detector or the fault injector, over the
-  scenario library in :mod:`repro.analysis.scenarios`;
+  the ``check`` sweeps, ``faultsweep`` and ``races``: storm cells run
+  threads under a seeded schedule with the sanitizer armed, fault cells
+  run under the fault injector, over the scenario library in
+  :mod:`repro.analysis.scenarios`;
 * :mod:`repro.analysis.schedules` — schedule policies (seeded-random,
   recording/replay) and bounded DFS exploration of interleavings;
 * :mod:`repro.analysis.cfg` / :mod:`repro.analysis.flow` — the AST→CFG
@@ -40,7 +41,7 @@
   randomness in replayed simulation code.
 
 Run the static checks and the sweeps via ``python -m repro check``;
-run the race storm via ``python -m repro races``.
+run the concurrency storm via ``python -m repro races``.
 """
 
 from repro.analysis.invariants import (
@@ -72,12 +73,7 @@ from repro.analysis.matrix import (
     run_races,
     run_sweeps,
 )
-from repro.analysis.race import (
-    RaceDetector,
-    RaceReport,
-    lint_guarded_by,
-    lint_source_concurrency,
-)
+from repro.analysis.race import lint_guarded_by, lint_source_concurrency
 from repro.analysis.schedules import (
     ExplorationResult,
     RecordingPolicy,
@@ -91,8 +87,6 @@ __all__ = [
     "ExplorationResult",
     "Finding",
     "FlowReport",
-    "RaceDetector",
-    "RaceReport",
     "RecordingPolicy",
     "SanitizerError",
     "SeededRandomPolicy",

@@ -2,12 +2,13 @@
 ``races``.
 
 A :class:`Cell` runs one scenario from :mod:`repro.analysis.scenarios`
-on one pmap under one Section 5.2 strategy, with a seed and its
-:class:`Arm` flags: the sanitizer or the race detector, each watching
-threads under a seeded-random schedule, or the fault injector (after
-which a fresh task must still work).  :func:`run_cell` boots, arms,
-runs the body, then :func:`settle_and_audit`; anything that raises,
-boot included, fails that cell alone.  A view's row is a tuple of
+on one pmap under one Section 5.2 strategy, with a seed.  The scenario
+decides what watches it: one with a fault profile runs under the fault
+injector (after which a fresh task must still work), every other one
+runs threads under a seeded-random schedule with the sanitizer armed.
+:func:`run_cell` boots, arms, runs the body, then
+:func:`settle_and_audit`; anything that raises, boot included, fails
+that cell alone.  A view's row is a tuple of
 cells (:func:`run_row`) that stops at its first failure and sums its
 counters; the views build rows, fan them out over the flow passes'
 fork pool and format lines.
@@ -15,7 +16,6 @@ fork pool and format lines.
 
 from __future__ import annotations
 
-import enum
 import zlib
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -25,9 +25,7 @@ from repro.analysis.invariants import (
     SanitizerError,
     assert_all,
     install_sanitizer,
-    uninstall_sanitizer,
 )
-from repro.analysis.race import RaceDetector
 from repro.analysis.scenarios import (
     EXPLORE,
     FAULTS,
@@ -96,15 +94,6 @@ def _probe_alive(kernel: MachKernel) -> None:
     task.terminate()
 
 
-class Arm(enum.Flag):
-    """What watches a cell while its scenario runs."""
-
-    NONE = 0
-    SANITIZER = enum.auto()
-    DETECTOR = enum.auto()
-    INJECTOR = enum.auto()
-
-
 @dataclass(frozen=True)
 class Cell:
     """One scenario run on one architecture."""
@@ -112,11 +101,9 @@ class Cell:
     arch: str
     scenario: Scenario
     strategy: ShootdownStrategy = ShootdownStrategy.IMMEDIATE
-    #: The injector's fault seed; sanitizer and detector cells schedule
-    #: each scenario of a row with ``cell_seed(seed, arch, strategy,
-    #: scenario)``.
+    #: The injector's fault seed; a storm cell schedules its threads
+    #: with ``cell_seed(seed, arch, strategy, scenario)``.
     seed: int = 0
-    arms: Arm = Arm.NONE
     quick: bool = False
     #: Injector cells roll on to ``seed+1, seed+2, ...`` while no fault
     #: was injected (an all-quiet roll proves nothing), up to this many
@@ -125,7 +112,7 @@ class Cell:
 
 
 #: The counters a row sums over its cells.
-COUNTERS = ("races", "events", "injected", "typed_errors")
+COUNTERS = ("injected", "typed_errors")
 
 
 @dataclass
@@ -139,10 +126,6 @@ class CellResult:
     error: str = ""
     #: The first sanitizer violation, when that was the failure.
     violation: str = ""
-    #: The first race the detector reported.
-    race: str = ""
-    races: int = 0
-    events: int = 0
     injected: int = 0
     typed_errors: int = 0
 
@@ -155,9 +138,10 @@ def _run_once(cell: Cell,
     try:
         scene.kernel = kernel = boot(cell.arch, cell.strategy,
                                      **scenario.machine)
-        if Arm.SANITIZER in cell.arms:
+        if scenario.faults is not None:
+            scene.injector = FaultInjector(cell.seed, scenario.faults)
+        else:
             install_sanitizer(kernel)
-        if cell.arms & (Arm.SANITIZER | Arm.DETECTOR):
             if policy is None:
                 policy = SeededRandomPolicy(cell_seed(
                     cell.seed, cell.arch, cell.strategy.value,
@@ -165,10 +149,6 @@ def _run_once(cell: Cell,
             scene.sched = Scheduler(
                 kernel, timer_tick_every=scenario.tick_every,
                 policy=policy)
-        if Arm.DETECTOR in cell.arms:
-            scene.detector = RaceDetector(kernel, scene.sched).install()
-        if Arm.INJECTOR in cell.arms:
-            scene.injector = FaultInjector(cell.seed, scenario.faults)
         typed_errors = scenario.body(scene) or 0
         settle_and_audit(kernel)
         if scene.injector is not None:
@@ -182,15 +162,6 @@ def _run_once(cell: Cell,
             result.violation = str(exc.violations[0]) \
                 if exc.violations else str(exc)
     finally:
-        if scene.kernel is not None and Arm.SANITIZER in cell.arms:
-            uninstall_sanitizer(scene.kernel)
-        if scene.detector is not None:
-            scene.detector.uninstall()
-            result.races = len(scene.detector.races)
-            result.events = scene.detector.events_timestamped
-            if scene.detector.races:
-                result.ok = False
-                result.race = str(scene.detector.races[0])
         if scene.injector is not None:
             scene.injector.disarm()
             result.injected = scene.injector.faults_injected
@@ -199,7 +170,7 @@ def _run_once(cell: Cell,
 
 def run_cell(cell: Cell,
              policy: Optional[SchedulePolicy] = None) -> CellResult:
-    """Run one cell; *policy* replaces the detector's seeded schedule.
+    """Run one cell; *policy* replaces a storm's seeded schedule.
 
     A failing roll returns at once, with its exact seed, whatever its
     fault count."""
@@ -241,7 +212,7 @@ def run_matrix(rows: Iterable[Sequence[Cell]], jobs: Optional[int] = None,
 
 def sweep_row(arch: str, scenario: str) -> tuple[Cell, ...]:
     storm = STORMS[scenario]
-    return tuple(Cell(arch, storm, strategy, arms=Arm.SANITIZER)
+    return tuple(Cell(arch, storm, strategy)
                  for strategy in storm.strategies)
 
 
@@ -256,7 +227,7 @@ def sweep_line(result: CellResult) -> str:
 
 def run_sweeps(archs=None, verbose: bool = False,
                jobs: Optional[int] = None) -> list[CellResult]:
-    """Every (architecture, check scenario) row, sanitizer armed."""
+    """Every (architecture, check scenario) row."""
     rows = [sweep_row(arch, name) for arch in (archs or BENCH_ARCHS)
             for name in STORMS]
     return run_matrix(rows, jobs, sweep_line if verbose else None)
@@ -269,7 +240,7 @@ def run_fault_cell(arch: str, scenario: str, seed: int,
     """Replay one faultsweep cell under exactly *seed* (rolling on
     through up to *tries* seeds while no fault lands)."""
     return run_cell(Cell(arch, FAULTS[scenario], seed=seed,
-                         arms=Arm.INJECTOR, quick=quick, tries=tries))
+                         quick=quick, tries=tries))
 
 
 def fault_line(result: CellResult) -> str:
@@ -288,7 +259,7 @@ def run_faultsweep(archs=None, scenarios=None, seed: int = FAULT_SEED,
     """The survival matrix: no hang, only typed errors, a clean audit,
     and a kernel that still serves a fresh task, in every cell."""
     rows = [(Cell(arch, FAULTS[name], seed=cell_seed(seed, arch, name),
-                  arms=Arm.INJECTOR, quick=quick, tries=FAULT_TRIES),)
+                  quick=quick, tries=FAULT_TRIES),)
             for arch in (archs or default_archs(quick))
             for name in (scenarios or FAULTS)]
     return run_matrix(rows, jobs, fault_line if verbose else None)
@@ -298,7 +269,7 @@ def run_faultsweep(archs=None, scenarios=None, seed: int = FAULT_SEED,
 
 def race_row(arch: str, strategy: ShootdownStrategy,
              seed: int) -> tuple[Cell, ...]:
-    return tuple(Cell(arch, storm, strategy, seed, Arm.DETECTOR)
+    return tuple(Cell(arch, storm, strategy, seed)
                  for storm in STORMS.values())
 
 
@@ -310,11 +281,10 @@ def run_race_cell(arch: str, strategy: ShootdownStrategy,
 
 def race_line(result: CellResult) -> str:
     cell = result.cell
-    status = "ok" if result.ok else "RACE" if result.races else "FAIL"
-    detail = result.error or result.race
+    status = "ok" if result.ok else "FAIL"
+    detail = result.violation or result.error
     tail = f": {cell.scenario.name}: {detail}" if detail else ""
     return (f"{cell.arch:<10} {cell.strategy.value:<10} {status:<5} "
-            f"races={result.races:<3} events={result.events:<7} "
             f"[replay: seed={cell.seed:#x}]{tail}")
 
 
@@ -323,9 +293,9 @@ def run_races(archs: Optional[Sequence[str]] = None,
               seed: int = RACE_SEED, quick: bool = False,
               verbose: bool = False,
               jobs: Optional[int] = None) -> list[CellResult]:
-    """The storm: arch x strategy rows.  A correct kernel yields zero
-    races in every row — DEFERRED and LAZY staleness inside open
-    windows is sanctioned, and IMMEDIATE flushes synchronously."""
+    """The storm: arch x strategy rows, the sanitizer armed.  A
+    correct kernel passes every row — DEFERRED and LAZY staleness inside
+    open windows is sanctioned, and IMMEDIATE flushes synchronously."""
     rows = [race_row(arch, strategy, seed)
             for arch in (archs or default_archs(quick))
             for strategy in (strategies or ShootdownStrategy)]
@@ -337,12 +307,12 @@ def explore_shootdown(arch: str = "generic",
                       ShootdownStrategy.DEFERRED,
                       max_schedules: int = 150) -> ExplorationResult:
     """Bounded DFS over schedules of the small shootdown workload."""
-    cell = Cell(arch, EXPLORE, strategy, arms=Arm.DETECTOR)
+    cell = Cell(arch, EXPLORE, strategy)
 
     def one_schedule(policy) -> dict:
         result = run_cell(cell, policy)
         if result.ok:
             return {"ok": True}
-        return {"ok": False, "detail": result.error or result.race}
+        return {"ok": False, "detail": result.violation or result.error}
 
     return explore_schedules(one_schedule, max_schedules=max_schedules)

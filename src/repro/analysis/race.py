@@ -1,15 +1,15 @@
-"""Concurrency sanitizer: yield-safety lint, guarded-by contract, and a
-happens-before race detector for TLB shootdown.
+"""Concurrency lints: the guarded-by contract and may-yield atomicity.
 
 Sections 4.2 and 6 of the paper reason about exactly one hazard: a
 mapping change on one CPU racing with translations cached in other
 CPUs' TLBs, with each shootdown strategy (IMMEDIATE / DEFERRED / LAZY)
-trading consistency for cost.  This module makes that hazard — and the
-software analogue, MI code caching mutable VM state across a preemption
-point — mechanically checkable, extending the PR-1 sanitizer from
-layering and end-state invariants to *time*.
-
-Static half (stdlib ``ast``):
+trading consistency for cost.  The hardware half of that hazard is
+judged at run time by the sanitizer
+(:func:`repro.analysis.invariants.check_tlbs`, which reads the TLBs
+and each CPU's pending deferred flushes), armed over the seeded storms
+of ``python -m repro races``.  This module checks the software
+analogue statically (stdlib ``ast``): machine-independent code caching
+mutable VM state across a preemption point.
 
 * **guarded-by contract** — :func:`lint_guarded_by`, run as the
   ``concurrency`` whole-tree pass of
@@ -32,38 +32,14 @@ Static half (stdlib ``ast``):
   is seen across modules, and the incremental cache re-checks a caller
   when a callee's summary changes.  The kernel funnel modules
   (``core.kernel``, ``core.fault``, ``core.pageout``) are exempt: they
-  run under the map/object locks whose contract the guarded-by half
+  run under the map/object locks whose contract the guarded-by lint
   checks.
-
-Dynamic half: :class:`RaceDetector`, a happens-before checker that
-timestamps every pmap/TLB mutation and every TLB-backed access with
-per-CPU vector clocks.  A shootdown opens an *invalidation window* per
-CPU; a TLB hit on a translation filled before the invalidation is a
-race **unless** the window is still legally open — DEFERRED until that
-CPU's next timer tick, LAZY (unforced) until the next activate-time
-flush.  IMMEDIATE never sanctions staleness, so an unmodified kernel
-must produce zero reports under it.  Each report carries a replayable
-event trace with provenance.
-
-Everything attaches through the kernel's instrumentation bus
-(:class:`repro.obs.bus.EventBus`): the detector subscribes one
-dispatcher to ``kernel.events`` and consumes the ``tlb/*``,
-``cpu/tick``, ``pmap/shootdown`` and ``sched/slice`` events the checked
-layers publish — those layers never import this package.  (The old
-duck-typed hooks — ``TLB.trace_hook``, ``CPU.tick_hook``,
-``PmapSystem.race_hook``, ``Scheduler.race_hook`` — are gone; the bus
-is the only attachment point.)
-
-The storm that drives the detector (``python -m repro races``, and
-``--explore`` for bounded DFS over schedules) runs on the matrix runner
-in :mod:`repro.analysis.matrix`.
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -74,12 +50,9 @@ from repro.analysis.cfg import ctx_method, ctx_params, \
 from repro.analysis.flow import Finding, SourceTree
 from repro.analysis.layering import _strip, _within
 from repro.analysis.typestate import AnalysisContext, build_context
-from repro.core.kernel import MachKernel
-from repro.pmap.interface import ShootdownStrategy
-from repro.sched.scheduler import Scheduler
 
 # ======================================================================
-# Static half: the guarded-by contract
+# The guarded-by contract
 # ======================================================================
 
 #: module (package-relative) -> class names whose ``__init__``
@@ -338,7 +311,7 @@ def lint_source_concurrency(source: Optional[SourceTree] = None
 ATOMICITY_VERSION = "2"
 
 #: Modules exempt from atomicity-hazard *reporting*: the kernel funnel
-#: runs under the map/object locks (checked by the guarded-by half),
+#: runs under the map/object locks (checked by the guarded-by lint),
 #: so its reads cannot go stale across its own fault entries.
 _ATOMICITY_EXEMPT = ("core.kernel", "core.fault", "core.pageout")
 
@@ -486,319 +459,3 @@ def atomicity_in_scope(module: str, package: str = "repro") -> bool:
     inner = _strip(module, package)
     return inner is not None and not any(
         _within(inner, exempt) for exempt in _ATOMICITY_EXEMPT)
-
-
-# ======================================================================
-# Dynamic half: the happens-before checker
-# ======================================================================
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One timestamped happening, for replayable provenance."""
-
-    order: int
-    cpu: Optional[int]
-    kind: str
-    detail: str
-
-    def __str__(self) -> str:
-        where = f"cpu{self.cpu}" if self.cpu is not None else "----"
-        return f"#{self.order:<6} {where:<5} {self.kind:<12} {self.detail}"
-
-
-@dataclass
-class InvalidationWindow:
-    """One shootdown as seen by the checker: which virtual range of
-    which pmap was invalidated, and in what state each CPU's copy is."""
-
-    order: int
-    origin_cpu: int
-    pmap_tag: int
-    pmap_name: str
-    start: int
-    end: int
-    strategy: ShootdownStrategy
-    forced: bool
-    #: cpu -> "flushed" | "deferred" | "lazy" | "closed".  CPUs absent
-    #: here were not tainted by the pmap ("untracked").
-    status: dict[int, str]
-    vc: tuple[int, ...]
-
-    def covers(self, vpn: int, hw_page_size: int) -> bool:
-        first = self.start // hw_page_size
-        last = (self.end + hw_page_size - 1) // hw_page_size
-        return first <= vpn < last
-
-    def engulfed_by(self, start: int, end: int) -> bool:
-        return start <= self.start and self.end <= end
-
-
-@dataclass(frozen=True)
-class RaceReport:
-    """A CPU consumed a translation invalidated outside any open
-    window — with the evidence needed to replay and diagnose it."""
-
-    cpu: int
-    pmap_name: str
-    vpn: int
-    fill_order: int
-    window: InvalidationWindow
-    status: str
-    trace: tuple[TraceEvent, ...]
-
-    def __str__(self) -> str:
-        head = (f"race: cpu{self.cpu} hit stale TLB entry for "
-                f"{self.pmap_name} vpn={self.vpn:#x} "
-                f"(filled at #{self.fill_order}, invalidated at "
-                f"#{self.window.order} by cpu{self.window.origin_cpu}, "
-                f"strategy={self.window.strategy.value}, "
-                f"window status={self.status!r})")
-        lines = [head, "  recent events:"]
-        lines += [f"    {event}" for event in self.trace]
-        return "\n".join(lines)
-
-
-class RaceDetector:
-    """Vector-clock happens-before checking over the kernel's event bus.
-
-    Install on a booted kernel (and optionally a scheduler); the
-    detector subscribes to ``kernel.events`` and timestamps every
-    pmap/TLB mutation and TLB-backed access.  A TLB hit whose fill
-    predates an invalidation of that translation is a race unless the
-    responsible shootdown window is still legally open on the hitting
-    CPU:
-
-    ========== =============================================
-    strategy   staleness sanctioned
-    ========== =============================================
-    IMMEDIATE  never (flushes are synchronous IPIs)
-    DEFERRED   until that CPU's next timer tick
-    LAZY       until the next activate-time flush (unforced)
-    ========== =============================================
-
-    Reports accumulate in :attr:`races`, and :attr:`events_timestamped`
-    counts the events ordered; pass ``raise_on_race=True`` to fail
-    fast.
-    """
-
-    TRACE_RING = 24
-
-    def __init__(self, kernel: MachKernel,
-                 scheduler: Optional[Scheduler] = None,
-                 raise_on_race: bool = False) -> None:
-        self.kernel = kernel
-        self.scheduler = scheduler
-        self.raise_on_race = raise_on_race
-        ncpus = len(kernel.machine.cpus)
-        self.ncpus = ncpus
-        #: Per-CPU vector clocks.
-        self.clocks: list[list[int]] = [[0] * ncpus for _ in range(ncpus)]
-        self._order = 0
-        #: (cpu, pmap_tag, vpn) -> order of the fill.
-        self.fills: dict[tuple[int, int, int], int] = {}
-        #: pmap_tag -> live invalidation windows.
-        self.windows: dict[int, list[InvalidationWindow]] = {}
-        self.races: list[RaceReport] = []
-        self.events_timestamped = 0
-        self._trace: deque[TraceEvent] = deque(maxlen=self.TRACE_RING)
-        self._reported: set[tuple[int, int, int, int]] = set()
-        self._pmap_names: dict[int, str] = {}
-        self._installed = False
-        self._hw_page_size = kernel.machine.cpus[0].tlb.page_size
-
-    # -- event plumbing -------------------------------------------------
-
-    def _tick_clock(self, cpu: Optional[int]) -> None:
-        if cpu is not None:
-            self.clocks[cpu][cpu] += 1
-
-    def _join(self, cpu: int, vc: Sequence[int]) -> None:
-        own = self.clocks[cpu]
-        for i, value in enumerate(vc):
-            if value > own[i]:
-                own[i] = value
-
-    def _event(self, cpu: Optional[int], kind: str, detail: str) -> int:
-        self._order += 1
-        self._tick_clock(cpu)
-        self.events_timestamped += 1
-        self._trace.append(TraceEvent(self._order, cpu, kind, detail))
-        return self._order
-
-    # -- installation ---------------------------------------------------
-
-    def install(self) -> "RaceDetector":
-        """Subscribe to the kernel's event bus; returns self for
-        chaining."""
-        if self._installed:
-            return self
-        self.kernel.events.subscribe(self._on_event)
-        self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        if not self._installed:
-            return
-        self.kernel.events.unsubscribe(self._on_event)
-        self._installed = False
-
-    # -- bus dispatch ---------------------------------------------------
-
-    def _on_event(self, event) -> None:
-        """One subscriber for everything: route the event kinds the
-        happens-before model consumes, ignore the rest of the bus."""
-        subsystem, kind, data = event.subsystem, event.kind, event.data
-        if subsystem == "tlb":
-            cpu_id = event.cpu
-            if kind == "hit":
-                self._on_hit(cpu_id, data["tag"], data["vpn"])
-            elif kind == "fill":
-                self._on_fill(cpu_id, data["tag"], data["vpn"])
-            elif kind == "drop":
-                self._on_drop(cpu_id, data["tag"], data["vpn"])
-            elif kind == "flush_range":
-                self._on_range_flushed(cpu_id, data["tag"],
-                                       data["start"], data["end"])
-            elif kind == "flush_pmap":
-                self._on_pmap_flushed(cpu_id, data["tag"])
-            elif kind == "flush_all":
-                self._on_full_flushed(cpu_id)
-        elif subsystem == "cpu":
-            if kind == "tick":
-                self._on_tick(event.cpu)
-        elif subsystem == "pmap":
-            if kind == "shootdown":
-                self._on_shootdown(data["pmap"], data["start"],
-                                   data["end"], data["strategy"],
-                                   data["forced"], data["actions"])
-        elif subsystem == "sched":
-            if kind == "slice" and self.scheduler is not None:
-                self._on_slice(data["sched_thread"], data["to_cpu"])
-
-    # -- event handlers -------------------------------------------------
-
-    def _name_for(self, tag: int) -> str:
-        return self._pmap_names.get(tag, f"pmap@{tag:#x}")
-
-    def _on_shootdown(self, pmap, start: int, end: int,
-                      strategy: ShootdownStrategy, forced: bool,
-                      actions: tuple) -> None:
-        tag = id(pmap)
-        self._pmap_names[tag] = getattr(pmap, "name", "") or f"{tag:#x}"
-        origin = self.kernel.pmap_system.current_cpu_id
-        order = self._event(
-            origin, "shootdown",
-            f"{self._name_for(tag)} [{start:#x},{end:#x}) "
-            f"{strategy.value}{' forced' if forced else ''} "
-            f"targets={[f'cpu{c}:{a}' for c, a in actions]}")
-        status: dict[int, str] = {}
-        for cpu_id, action in actions:
-            if action in ("local", "ipi"):
-                # Will be marked "flushed" when the flush thunk fires;
-                # start from the sanctioned-in-flight state.
-                status[cpu_id] = "deferred" if action == "ipi" \
-                    else "flushed"
-            elif action == "deferred":
-                status[cpu_id] = "deferred"
-            else:
-                status[cpu_id] = "lazy"
-        window = InvalidationWindow(
-            order=order, origin_cpu=origin, pmap_tag=tag,
-            pmap_name=self._name_for(tag), start=start, end=end,
-            strategy=strategy, forced=forced, status=status,
-            vc=tuple(self.clocks[origin]))
-        live = self.windows.setdefault(tag, [])
-        live.append(window)
-        # Bound memory: drop oldest fully-flushed windows.
-        if len(live) > 512:
-            live[:] = [w for w in live
-                       if any(s != "flushed" for s in w.status.values())
-                       ] + live[-64:]
-
-    def _on_slice(self, sched_thread, cpu_id: int) -> None:
-        # A thread migrating between CPUs carries its causal history.
-        previous = sched_thread.context.cpu_id
-        if previous is not None and previous != cpu_id:
-            self._join(cpu_id, self.clocks[previous])
-        self._event(cpu_id, "slice",
-                    f"thread #{sched_thread.sched_id} "
-                    f"({sched_thread.task.name})")
-
-    def _on_tick(self, cpu_id: int) -> None:
-        self._event(cpu_id, "tick", f"timer tick on cpu{cpu_id}")
-        # The tick closes every DEFERRED window for this CPU: its flush
-        # thunks have just drained (marking "flushed" via the range
-        # hook).  A window still "deferred" after its drain lost the
-        # flush — consuming it afterwards is a race.
-        for windows in self.windows.values():
-            for window in windows:
-                if window.status.get(cpu_id) == "deferred":
-                    window.status[cpu_id] = "closed"
-
-    def _on_hit(self, cpu_id: int, tag: int, vpn: int) -> None:
-        self._event(cpu_id, "tlb-hit",
-                    f"{self._name_for(tag)} vpn={vpn:#x}")
-        fill_order = self.fills.get((cpu_id, tag, vpn), 0)
-        for window in self.windows.get(tag, ()):
-            if window.order <= fill_order:
-                continue
-            if not window.covers(vpn, self._hw_page_size):
-                continue
-            status = window.status.get(cpu_id, "untracked")
-            if status in ("deferred", "lazy"):
-                continue   # legally stale: window still open
-            if status == "untracked":
-                continue   # pmap never tainted this CPU
-            key = (cpu_id, tag, vpn, window.order)
-            if key in self._reported:
-                continue
-            self._reported.add(key)
-            report = RaceReport(
-                cpu=cpu_id, pmap_name=self._name_for(tag), vpn=vpn,
-                fill_order=fill_order, window=window, status=status,
-                trace=tuple(self._trace))
-            self.races.append(report)
-            if self.raise_on_race:
-                raise AssertionError(str(report))
-
-    def _on_fill(self, cpu_id: int, tag: int, vpn: int) -> None:
-        order = self._event(cpu_id, "tlb-fill",
-                            f"{self._name_for(tag)} vpn={vpn:#x}")
-        self.fills[(cpu_id, tag, vpn)] = order
-
-    def _on_drop(self, cpu_id: int, tag: int, vpn: int) -> None:
-        self._event(cpu_id, "tlb-drop",
-                    f"{self._name_for(tag)} vpn={vpn:#x}")
-        self.fills.pop((cpu_id, tag, vpn), None)
-
-    def _close_windows(self, cpu_id: int, tag: Optional[int],
-                       start: Optional[int] = None,
-                       end: Optional[int] = None) -> None:
-        for wtag, windows in self.windows.items():
-            if tag is not None and wtag != tag:
-                continue
-            for window in windows:
-                if cpu_id not in window.status:
-                    continue
-                if (start is not None
-                        and not window.engulfed_by(start, end)):
-                    continue
-                if window.status[cpu_id] != "flushed":
-                    window.status[cpu_id] = "flushed"
-                    self._join(cpu_id, window.vc)
-
-    def _on_range_flushed(self, cpu_id: int, tag: int,
-                          start: int, end: int) -> None:
-        self._event(cpu_id, "tlb-flush",
-                    f"{self._name_for(tag)} [{start:#x},{end:#x})")
-        self._close_windows(cpu_id, tag, start, end)
-
-    def _on_pmap_flushed(self, cpu_id: int, tag: int) -> None:
-        self._event(cpu_id, "tlb-flush",
-                    f"{self._name_for(tag)} (whole pmap)")
-        self._close_windows(cpu_id, tag)
-
-    def _on_full_flushed(self, cpu_id: int) -> None:
-        self._event(cpu_id, "tlb-flush", "all entries")
-        self._close_windows(cpu_id, None)

@@ -4,10 +4,10 @@ Every body takes the :class:`Scene` that :mod:`repro.analysis.matrix`
 booted and armed, and returns how many typed ``VMError`` exceptions it
 absorbed (``None`` for none); anything else escaping fails its cell.
 The runner settles and audits after the body.  :data:`STORMS` are
-threads under a seeded schedule: ``repro check`` runs them with the
-sanitizer armed and ``races`` under the race detector.  :data:`FAULTS`
-is ``faultsweep``'s table (each scenario's fault profile injected) and
-:data:`EXPLORE` the schedule explorer's workload.
+threads under a seeded schedule with the sanitizer armed, run by both
+``repro check`` and ``races``.  :data:`FAULTS` is ``faultsweep``'s
+table (each scenario's fault profile injected) and :data:`EXPLORE` the
+schedule explorer's workload, also under the sanitizer.
 
 A body earns its place by what it kills in the mutation kill matrix
 (``mutation/``): merge two bodies when the merged one kills every
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.analysis.race import RaceDetector
 from repro.core.constants import VMProt
 from repro.core.errors import VMError
 from repro.core.kernel import MachKernel
@@ -40,12 +39,12 @@ from repro.sched.scheduler import Scheduler
 @dataclass
 class Scene:
     """What a scenario body runs against: the booted kernel and the
-    cell's arms (``None`` when not armed)."""
+    scheduler or injector the scenario runs under (the other is
+    ``None``)."""
 
     kernel: Optional[MachKernel] = None
     #: The seeded scheduler the storms' threads run under.
     sched: Optional[Scheduler] = None
-    detector: Optional[RaceDetector] = None
     injector: Optional[FaultInjector] = None
     quick: bool = False
 
@@ -58,7 +57,9 @@ class Scenario:
     body: Callable[[Scene], Optional[int]]
     #: Overrides of the swept machine (``ncpus``, ``memory_frames``).
     machine: dict = field(default_factory=dict)
-    #: The injector arm's fault profile.
+    #: The fault profile: a scenario with one runs under the fault
+    #: injector; one without runs threads under a seeded schedule,
+    #: with the sanitizer armed.
     faults: Optional[FaultConfig] = None
     #: Scheduler timer period, in slices.
     tick_every: int = 4
@@ -411,8 +412,10 @@ STORMS = _table(
 
 def _explore_shootdown(scene: Scene) -> None:
     """One schedule of a small two-thread shootdown workload, its
-    state hashed so the explorer can prune."""
-    kernel, sched, detector = scene.kernel, scene.sched, scene.detector
+    state (what each TLB holds, what each CPU still owes it, and the
+    fault count) hashed so the explorer can prune."""
+    kernel, sched = scene.kernel, scene.sched
+    cpus = kernel.machine.cpus
     page = kernel.page_size
     task = kernel.task_create(name="explore")
     addr = task.vm_allocate(4 * page)
@@ -420,9 +423,10 @@ def _explore_shootdown(scene: Scene) -> None:
         task.write(addr + off, b"e")
 
     sched.policy.state_fn = lambda: hash((
-        tuple(sorted(detector.fills)),
+        tuple(tuple(entry[1:] for entry in cpu.tlb.snapshot())
+              for cpu in cpus),
+        tuple(len(cpu._deferred_flushes) for cpu in cpus),
         kernel.stats.faults,
-        tuple(len(w) for w in detector.windows.values()),
     ))
 
     def reader(ctx):

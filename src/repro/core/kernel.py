@@ -82,7 +82,7 @@ class MachKernel:
         self.machine = Machine(spec, page_size)
         #: The machine-wide instrumentation bus (alias of
         #: ``machine.events``); every subsystem emits here and every
-        #: observer (event recorder, race detector, fault telemetry)
+        #: observer (event recorder, fault telemetry)
         #: attaches here.
         self.events = self.machine.events
         self.pmap_system = PmapSystem(self.machine, shootdown)

@@ -66,7 +66,7 @@ class PageoutDaemon:
         finally:
             events.pop_track()
         self.pages_freed += freed
-        hook = getattr(self.kernel, "sanitize_hook", None)
+        hook = self.kernel.sanitize_hook
         if hook is not None and not resident._reclaiming:
             # Skip the sweep when running synchronously inside a frame
             # allocation (mid-fault): the caller's fault-path hook

@@ -6,8 +6,8 @@ is doing through one :class:`EventBus` owned by the machine: spans
 with a payload (:meth:`~EventBus.span`), the payload-free span of one
 fault-pipeline stage (:meth:`~EventBus.stage`, one reusable object per
 bus and stage), and instants (:meth:`~EventBus.emit`).  Subscribers
-(the :class:`EventRecorder`, which is the one event log, and the race
-detector) are plain callables that get every :class:`Event`.  Nothing
+(such as the :class:`EventRecorder`, which is the one event log) are
+plain callables that get every :class:`Event`.  Nothing
 here counts: the kernel's ``KernelStats`` is the one counter source.
 
 Fault telemetry is not a subscriber.  While a

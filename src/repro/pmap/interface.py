@@ -103,8 +103,7 @@ class PmapSystem:
         self.debug_hook = None
         #: The machine's instrumentation bus; shootdowns publish a
         #: ``pmap/shootdown`` event *before* any flush lands, so a
-        #: happens-before checker sees the invalidation window open
-        #: first.
+        #: trace shows the invalidation window open first.
         self.events = machine.events
 
     # ------------------------------------------------------------------
@@ -206,19 +205,14 @@ class PmapSystem:
     # TLB shootdown (Section 5.2)
     # ------------------------------------------------------------------
 
-    def shootdown(self, pmap: "Pmap", start: int, end: int,
-                  force: bool = False) -> None:
-        """Make a mapping change visible to every CPU's TLB.
-
-        *force* overrides the LAZY strategy — used by the pageout path,
-        which may never reuse a frame while any TLB can still reach it.
-        """
+    def shootdown(self, pmap: "Pmap", start: int, end: int) -> None:
+        """Make a mapping change visible to every CPU's TLB, as the
+        strategy in force allows (pageout waits out the DEFERRED and
+        LAZY windows itself, in ``PageoutDaemon._quiesce_tlbs``)."""
         self.shootdowns += 1
         strategy = self.strategy
-        if force and strategy is ShootdownStrategy.LAZY:
-            strategy = ShootdownStrategy.IMMEDIATE
-        # Plan first, then execute: an observer must see the window
-        # open before any flush lands on any CPU.
+        # Plan first, then execute: a trace shows the window open
+        # before any flush lands on any CPU.
         plan: list[tuple] = []
         for cpu in self.machine.cpus:
             if cpu.cpu_id not in pmap.cpus_tainted:
@@ -235,15 +229,14 @@ class PmapSystem:
         if events.recording:
             events.emit(
                 "pmap", "shootdown",
-                pmap=pmap, start=start, end=end,
-                strategy=strategy, declared=self.strategy, forced=force,
+                pmap=pmap, start=start, end=end, strategy=strategy,
                 actions=tuple((cpu.cpu_id, action)
                               for cpu, action in plan))
         if events.active:
             # The stage span covers plan *execution* only (the
             # synchronous flush/IPI cost); the ``pmap/shootdown``
-            # instant above stays first — the race detector's window
-            # must open before any flush lands.
+            # instant above stays first, so a trace shows the window
+            # open before any flush lands.
             with events.span("stage", "shootdown", cpus=len(plan)):
                 self._execute_plan(plan, pmap, start, end)
         else:

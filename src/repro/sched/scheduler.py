@@ -214,11 +214,11 @@ class Scheduler:
                 self.ready.append(sched_thread)
                 continue
             if self.events.active:
-                # Before _place, so an observer still sees the CPU the
-                # thread last ran on (migration = causality transfer).
+                # Before _place, so ``from_cpu`` is still the CPU the
+                # thread last ran on.
                 self.events.emit(
                     "sched", "slice", task=sched_thread.task.name,
-                    sched_thread=sched_thread, to_cpu=cpu.cpu_id,
+                    to_cpu=cpu.cpu_id,
                     from_cpu=sched_thread.context.cpu_id)
             self._place(sched_thread, cpu)
             self.kernel.set_current_cpu(cpu.cpu_id)

@@ -79,11 +79,11 @@ class TestHooksOffByDefault:
 
 class TestStaleTlbInjection:
     """Injection (a): a TLB entry that survives past the DEFERRED
-    shootdown window — Section 5.2's "lost timer interrupt" disaster."""
+    shootdown window — Section 5.2's "lost timer interrupt" disaster —
+    and the windows IMMEDIATE and LAZY allow."""
 
-    def _stale_setup(self):
-        kernel = MachKernel(make_spec(ncpus=4),
-                            shootdown=ShootdownStrategy.DEFERRED)
+    def _stale_setup(self, strategy=ShootdownStrategy.DEFERRED):
+        kernel = MachKernel(make_spec(ncpus=4), shootdown=strategy)
         page = kernel.page_size
         task = kernel.task_create(name="smp")
         addr = task.vm_allocate(4 * page)
@@ -123,6 +123,23 @@ class TestStaleTlbInjection:
         # And the full audit raises.
         with pytest.raises(SanitizerError):
             assert_all(kernel)
+
+    def test_immediate_leaves_no_stale_entry(self):
+        kernel, cpu1 = self._stale_setup(ShootdownStrategy.IMMEDIATE)
+        assert not cpu1.has_deferred_flushes
+        assert len(cpu1.tlb) == 0
+        assert check_tlbs(kernel) == []
+
+    def test_lazy_staleness_is_sanctioned_until_flush(self):
+        kernel, cpu1 = self._stale_setup(ShootdownStrategy.LAZY)
+        # LAZY queues nothing: the stale entries outlive timer ticks
+        # and stay sanctioned until the activate-time flush.
+        kernel.machine.tick_all_timers()
+        assert len(cpu1.tlb) > 0
+        assert check_tlbs(kernel) == []
+        cpu1.tlb.flush_all()
+        assert len(cpu1.tlb) == 0
+        assert check_tlbs(kernel) == []
 
 
 class TestPermissiveMappingInjection:

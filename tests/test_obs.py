@@ -299,8 +299,8 @@ class TestExport:
 
 
 # ---------------------------------------------------------------------
-# Analysis observers attach through the bus (the retired duck-typed
-# hooks — trace_hook / tick_hook / race_hook — no longer exist)
+# Observers attach through the bus (the retired duck-typed hooks —
+# trace_hook / tick_hook / race_hook — no longer exist)
 # ---------------------------------------------------------------------
 
 class TestBusAttachment:
@@ -310,18 +310,3 @@ class TestBusAttachment:
         assert not hasattr(type(cpu.tlb), "trace_hook")
         assert not hasattr(type(cpu), "tick_hook")
         assert not hasattr(type(smp_kernel.pmap_system), "race_hook")
-
-    def test_race_detector_rides_the_bus(self, smp_kernel):
-        from repro.analysis.race import RaceDetector
-        detector = RaceDetector(smp_kernel).install()
-        try:
-            task = smp_kernel.task_create(name="raced")
-            addr = task.vm_allocate(smp_kernel.page_size)
-            task.write(addr, b"x")
-            assert detector.events_timestamped > 0
-        finally:
-            detector.uninstall()
-        # uninstall really unsubscribes: no further events observed
-        count = detector.events_timestamped
-        task.read(addr, 1)
-        assert detector.events_timestamped == count

@@ -4,6 +4,10 @@ default-pager binding."""
 import pytest
 
 from repro.core.constants import FaultType
+from repro.core.kernel import MachKernel
+from repro.pmap.interface import ShootdownStrategy
+
+from tests.conftest import make_spec
 
 PAGE = 4096
 
@@ -102,6 +106,33 @@ class TestReclaim:
         for off in range(0, 100 * PAGE, PAGE):
             task.write(addr + off, b"p")
         assert kernel.pageout_daemon.runs > 0
+
+
+class TestDeferredQuiesce:
+    def test_reclaimed_frame_is_unreachable_from_every_tlb(self):
+        """Under DEFERRED a remote CPU's flush waits for its timer tick;
+        pageout must wait it out before the frame is freed, or the
+        remote TLB can reach a frame that is about to be reused."""
+        kernel = MachKernel(make_spec(ncpus=2),
+                            shootdown=ShootdownStrategy.DEFERRED)
+        task = kernel.task_create(name="remote")
+        addr = task.vm_allocate(PAGE)
+        kernel.set_current_cpu(1)
+        task.write(addr, b"cached on cpu1")
+        kernel.set_current_cpu(0)
+        frame = task.pmap.extract(addr)
+
+        def reaching(cpu) -> list[int]:
+            return [paddr for _, _, paddr, _ in cpu.tlb.snapshot()
+                    if frame <= paddr < frame + kernel.page_size]
+
+        assert reaching(kernel.machine.cpus[1]), "cpu1 cached nothing"
+        kernel.pageout_daemon.run(
+            target=kernel.vm.resident.physmem.total_frames)
+        assert task.pmap.extract(addr) is None, "the page was not reclaimed"
+        for cpu in kernel.machine.cpus:
+            assert reaching(cpu) == [], \
+                f"cpu{cpu.cpu_id} still maps reclaimed frame {frame:#x}"
 
 
 class TestSwapDataIntegrity:

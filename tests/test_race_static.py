@@ -357,7 +357,7 @@ class TestHookInversionRule:
 
     def test_sched_importing_analysis_flagged(self, layered):
         (layered / "sched" / "scheduler.py").write_text(
-            "from pkg.analysis.race import RaceDetector\n")
+            "from pkg.analysis.race import lint_guarded_by\n")
         assert "hook-inversion" in _rules(
             lint_package(layered, package="pkg"))
 
