@@ -13,9 +13,10 @@ quiescent kernel against that contract:
   writable while the entry is ``needs_copy`` or the page still lives in
   a backing object of the chain;
 * every per-CPU TLB entry is a subset of the MD structures (strategy
-  aware: under LAZY, and inside an open DEFERRED window, staleness is
-  sanctioned by Section 5.2 and skipped — once the window closes, a
-  surviving stale entry is a shootdown bug);
+  aware: inside a range a LAZY shootdown left owing until the next
+  activate, and inside an open DEFERRED window, staleness is sanctioned
+  by Section 5.2 and skipped — once the window closes, a surviving
+  stale entry is a shootdown bug);
 * the pv (physical-to-virtual) table and the MD structures describe the
   same set of live mappings, over allocated frames only;
 * shadow-chain reference counts equal the number of actual referents
@@ -42,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.constants import VMProt
-from repro.pmap.interface import ShootdownStrategy
 
 
 @dataclass(frozen=True)
@@ -333,11 +333,12 @@ def _check_pv(kernel, md_mappings: dict[tuple[int, int], int],
 def check_tlbs(kernel) -> list[Violation]:
     """Audit every per-CPU TLB against the MD structures.
 
-    Strategy-aware, per Section 5.2: under LAZY, stale entries are
-    sanctioned (bounded by flush-at-activate); under DEFERRED a CPU
-    with queued flushes is inside an open window and is skipped — once
-    the window closes (or under IMMEDIATE), any entry that disagrees
-    with its pmap's structures is a shootdown bug.  The taint check
+    Strategy-aware, per Section 5.2: under LAZY, an entry inside a
+    range a lazy shootdown left the CPU owing (``cpu.lazy_owed``) is
+    sanctioned until the pmap's next activate-time flush; under
+    DEFERRED a CPU with queued flushes is inside an open window and is
+    skipped.  Any other entry that disagrees with its pmap's structures
+    is a shootdown bug.  The taint check
     (a CPU holding entries for a pmap must appear in that pmap's
     ``cpus_tainted``) applies under every strategy, since shootdown
     consults only tainted CPUs.
@@ -346,8 +347,6 @@ def check_tlbs(kernel) -> list[Violation]:
     mid-mutation) machine-independent maps, only TLB vs. pmap.
     """
     out: list[Violation] = []
-    system = kernel.pmap_system
-    lazy = system.strategy is ShootdownStrategy.LAZY
     live = _live_pmaps(kernel)
     hw_page = kernel.machine.hw_page_size
     for cpu in kernel.machine.cpus:
@@ -361,7 +360,10 @@ def check_tlbs(kernel) -> list[Violation]:
                     f"cpu{cpu.cpu_id} caches {pmap!r} va {vaddr:#x} "
                     f"but is not in its cpus_tainted set — shootdown "
                     f"would never reach this entry"))
-            if lazy or window_open:
+            if window_open or any(
+                    owed_tag == tag and start // hw_page <= vpn
+                    < -(-end // hw_page)
+                    for owed_tag, start, end in cpu.lazy_owed):
                 continue
             if pmap is None:
                 out.append(Violation(

@@ -73,13 +73,9 @@ def boot(arch: str,
 
 
 def settle_and_audit(kernel: MachKernel) -> None:
-    """Close every shootdown window, then audit the whole kernel."""
+    """Close every DEFERRED shootdown window, then audit the whole
+    kernel (a LAZY entry stays sanctioned while its range is owed)."""
     kernel.pmap_system.update()
-    if kernel.pmap_system.strategy is ShootdownStrategy.LAZY:
-        # LAZY bounds staleness at activate time; emulate the bound
-        # before auditing, as pageout must (Section 5.2).
-        for cpu in kernel.machine.cpus:
-            cpu.tlb.flush_all()
     kernel.set_current_cpu(0)
     assert_all(kernel)
 

@@ -30,6 +30,10 @@ class CPU:
         #: Flush thunks queued for the next timer tick (deferred
         #: shootdown strategy).
         self._deferred_flushes: list[Callable[[], None]] = []
+        #: ``(pmap tag, start, end)`` ranges a lazy shootdown left this
+        #: TLB owing until the pmap's next activate-time flush.  A record
+        #: for the sanitizer only; it charges no simulated time.
+        self.lazy_owed: list[tuple[int, int, int]] = []
         self.ipi_count = 0
         self.timer_ticks = 0
 

@@ -11,6 +11,11 @@ several smaller hardware pages.
 Frame contents are real ``bytearray`` data; the fault handler, pagers and
 copy-on-write logic move actual bytes, so tests can verify end-to-end
 data integrity, not just bookkeeping.
+
+Like the resident page table above it, the store is filled on demand:
+a frame costs host memory only once it is handed out, and only holds
+bytes once something non-zero is written to it.  Booting a machine
+therefore costs the same whatever its configured RAM.
 """
 
 from __future__ import annotations
@@ -59,18 +64,18 @@ class PhysicalMemory:
         for prev, nxt in zip(self.segments, self.segments[1:]):
             if nxt.start < prev.end:
                 raise ValueError("physical memory segments overlap")
-        self._free: list[int] = []
-        self._valid: set[int] = set()
         for seg in self.segments:
             if seg.start % frame_size or seg.size % frame_size:
                 raise ValueError(
                     f"{seg!r} is not aligned to the {frame_size}-byte frame")
-            for addr in range(seg.start, seg.end, frame_size):
-                self._free.append(addr)
-                self._valid.add(addr)
-        # Allocate frames from high addresses first so tests notice when
-        # code wrongly assumes physical addresses are small and dense.
-        self._free.sort(reverse=True)
+        self._total = sum(seg.size for seg in self.segments) // frame_size
+        # Frames freed since boot are reused last-freed first.  When none
+        # is waiting, the cursor hands out the lowest frame never used
+        # before, so a fresh machine allocates from low addresses up.
+        self._free: list[int] = []
+        #: The cursor: index of its segment and the next unused frame.
+        self._segment = 0
+        self._next = self.segments[0].start
         self._allocated: set[int] = set()
         self._data: dict[int, bytearray] = {}
 
@@ -81,12 +86,12 @@ class PhysicalMemory:
     @property
     def total_frames(self) -> int:
         """Number of RAM frames this store holds."""
-        return len(self._valid)
+        return self._total
 
     @property
     def free_frames(self) -> int:
         """Number of currently unallocated frames."""
-        return len(self._free)
+        return self._total - len(self._allocated)
 
     @property
     def allocated_frames(self) -> int:
@@ -101,10 +106,24 @@ class PhysicalMemory:
                 the resident-page layer never see this: the pageout
                 daemon reclaims pages first.
         """
-        if not self._free:
-            raise ResourceShortageError("physical memory exhausted")
-        addr = self._free.pop()
+        if self._free:
+            addr = self._free.pop()
+        else:
+            addr = self._unused_frame()
         self._allocated.add(addr)
+        return addr
+
+    def _unused_frame(self) -> int:
+        """The lowest never-used frame; the cursor moves past it and
+        skips holes."""
+        segments = self.segments
+        while self._next >= segments[self._segment].end:
+            if self._segment + 1 == len(segments):
+                raise ResourceShortageError("physical memory exhausted")
+            self._segment += 1
+            self._next = segments[self._segment].start
+        addr = self._next
+        self._next = addr + self.frame_size
         return addr
 
     def free_frame(self, addr: int) -> None:
@@ -117,7 +136,10 @@ class PhysicalMemory:
 
     def is_valid(self, addr: int) -> bool:
         """True when *addr* is the base of a RAM frame (not a hole)."""
-        return addr in self._valid
+        return addr % self.frame_size == 0 and self._in_ram(addr)
+
+    def _in_ram(self, addr: int) -> bool:
+        return any(seg.start <= addr < seg.end for seg in self.segments)
 
     # ------------------------------------------------------------------
     # Data access (byte-addressed, may straddle nothing: one frame only)
@@ -125,7 +147,9 @@ class PhysicalMemory:
 
     def _frame_for(self, addr: int, size: int) -> tuple[int, int]:
         base = addr - (addr % self.frame_size)
-        if base not in self._valid:
+        # Allocated frames are the common case; a free frame is legal
+        # too (its reads are zeros), a hole is not.
+        if base not in self._allocated and not self._in_ram(base):
             raise ValueError(f"physical address {addr:#x} is in a hole")
         offset = addr - base
         if offset + size > self.frame_size:
@@ -153,9 +177,9 @@ class PhysicalMemory:
         self._backing(base)[offset:offset + len(data)] = data
 
     def zero_frame(self, addr: int) -> None:
-        """Fill one frame with zeros."""
+        """Fill one frame with zeros (an all-zero frame stores no bytes)."""
         base, _ = self._frame_for(addr, self.frame_size)
-        self._data[base] = bytearray(self.frame_size)
+        self._data.pop(base, None)
 
     def copy_frame(self, src: int, dst: int) -> None:
         """Copy one whole frame's contents."""
@@ -163,6 +187,6 @@ class PhysicalMemory:
         dbase, _ = self._frame_for(dst, self.frame_size)
         src_buf = self._data.get(sbase)
         if src_buf is None:
-            self._data[dbase] = bytearray(self.frame_size)
+            self._data.pop(dbase, None)
         else:
             self._data[dbase] = bytearray(src_buf)

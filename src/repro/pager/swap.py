@@ -21,7 +21,10 @@ class SwapSpace:
     def __init__(self, machine, total_slots: int = 4096) -> None:
         self.machine = machine
         self.total_slots = total_slots
-        self._free = list(range(total_slots - 1, -1, -1))
+        #: Slots freed since boot, reused last-freed first; slots from
+        #: ``_next`` up have never been handed out.
+        self._free: list[int] = []
+        self._next = 0
         #: slot -> bytes (the stored page contents).
         self._store: dict[int, bytes] = {}
         self.writes = 0
@@ -35,7 +38,17 @@ class SwapSpace:
     @property
     def slots_free(self) -> int:
         """Number of unallocated swap slots."""
-        return len(self._free)
+        return len(self._free) + self.total_slots - self._next
+
+    def _refill(self) -> bool:
+        """Put the lowest never-used slot on an empty free list; False
+        when every slot is in use."""
+        if not self._free:
+            if self._next == self.total_slots:
+                return False
+            self._free.append(self._next)
+            self._next += 1
+        return True
 
     def _charge_transfer(self) -> None:
         costs = self.machine.costs
@@ -51,7 +64,7 @@ class SwapSpace:
         """
         fresh = slot is None
         if fresh:
-            if not self._free:
+            if not self._refill():
                 raise ResourceShortageError("swap space exhausted")
             slot = self._free.pop()
         try:
@@ -134,8 +147,7 @@ class FileBackedSwap(SwapSpace):
         data = bytes(data)[:self.slot_size]
         fresh = slot is None
         if fresh:
-            if not self._free:
-                from repro.core.errors import ResourceShortageError
+            if not self._refill():
                 raise ResourceShortageError("swap file full")
             slot = self._free.pop()
         try:

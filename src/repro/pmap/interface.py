@@ -259,6 +259,7 @@ class PmapSystem:
                 # Temporary inconsistency is allowed; the entry dies
                 # whenever that CPU next switches pmaps or takes a
                 # flush.
+                cpu.lazy_owed.append((id(pmap), start, end))
                 continue
 
             def flush(cpu=cpu) -> None:
@@ -575,6 +576,9 @@ class Pmap(abc.ABC):
             # The lazy strategy relies on flush-at-activate to bound
             # how long stale entries survive.
             cpu.tlb.invalidate_pmap(self)
+            tag = id(self)
+            cpu.lazy_owed = [owed for owed in cpu.lazy_owed
+                             if owed[0] != tag]
         self.cpus_tainted.add(cpu.cpu_id)
 
     def deactivate(self, thread, cpu) -> None:

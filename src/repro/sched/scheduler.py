@@ -213,7 +213,7 @@ class Scheduler:
             if sched_thread.thread.suspended:
                 self.ready.append(sched_thread)
                 continue
-            if self.events.active:
+            if self.events.recording:
                 # Before _place, so ``from_cpu`` is still the CPU the
                 # thread last ran on.
                 self.events.emit(
@@ -278,7 +278,7 @@ class Scheduler:
                         break
                     continue
                 before = clock.now_us
-                if tracked:
+                if self.events.recording:
                     self.events.emit(
                         "sched", "borrowed_slice",
                         task=borrowed.task.name, to_cpu=cpu.cpu_id,

@@ -141,6 +141,33 @@ class TestStaleTlbInjection:
         assert len(cpu1.tlb) == 0
         assert check_tlbs(kernel) == []
 
+    def test_lazy_entry_surviving_its_activate_flush_is_caught(self):
+        kernel, cpu1 = self._stale_setup(ShootdownStrategy.LAZY)
+        (task,) = kernel.tasks
+        _, vpn, paddr, prot = cpu1.tlb.snapshot()[0]
+        vaddr = vpn * kernel.machine.hw_page_size
+        assert cpu1.lazy_owed
+        # CPU 1 switches to the pmap: the activate-time flush pays off
+        # every range the lazy shootdown left it owing.
+        task.pmap.activate(None, cpu1)
+        assert cpu1.lazy_owed == []
+        assert check_tlbs(kernel) == []
+        # Inject: one stale entry survives that flush.
+        cpu1.tlb.fill(task.pmap, vaddr, paddr, prot)
+        violations = check_tlbs(kernel)
+        assert _kinds(violations) == {"tlb-stale"}
+        assert f"cpu1 TLB still maps {task.pmap!r} va {vaddr:#x}" in (
+            violations[0].detail)
+
+    def test_lazy_entry_outside_every_owed_range_is_caught(self):
+        kernel, cpu1 = self._stale_setup(ShootdownStrategy.LAZY)
+        (task,) = kernel.tasks
+        _, _, paddr, prot = cpu1.tlb.snapshot()[0]
+        (tag, start, end), = cpu1.lazy_owed
+        assert tag == id(task.pmap)
+        cpu1.tlb.fill(task.pmap, end, paddr, prot)
+        assert _kinds(check_tlbs(kernel)) == {"tlb-stale"}
+
 
 class TestPermissiveMappingInjection:
     """Injection (b): the pmap grants more than the map entry allows —

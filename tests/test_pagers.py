@@ -9,7 +9,7 @@ from repro.fs.filesystem import FileSystem
 from repro.pager.default_pager import DefaultPager
 from repro.pager.netmemory import NetMemoryServer, map_remote_region
 from repro.pager.protocol import UNAVAILABLE
-from repro.pager.swap import SwapSpace
+from repro.pager.swap import FileBackedSwap, SwapSpace
 from repro.pager.vnode_pager import map_file, vnode_pager_for
 
 PAGE = 4096
@@ -57,6 +57,56 @@ class TestSwapSpace:
         swap.write_slot(b"x")
         _, elapsed = snap.interval()
         assert elapsed > 0
+
+
+class TestSwapSlotPool:
+    """Both swap kinds hand slots out 0, 1, 2 ... and reuse a returned
+    slot (freed, or refunded by a failed write) last-returned first."""
+
+    @pytest.fixture(params=["standalone", "file"])
+    def swap(self, request, kernel):
+        if request.param == "standalone":
+            return SwapSpace(kernel.machine, total_slots=4)
+        return FileBackedSwap(FileSystem(kernel.machine), PAGE,
+                              total_slots=4)
+
+    def test_slots_come_out_in_ascending_order(self, swap):
+        assert [swap.write_slot(b"x") for _ in range(4)] == [0, 1, 2, 3]
+
+    def test_returned_slots_are_reused_first(self, swap, monkeypatch):
+        for _ in range(3):
+            swap.write_slot(b"x")
+        swap.free_slot(0)
+        swap.free_slot(2)
+        assert swap.write_slot(b"y") == 2
+        with monkeypatch.context() as patch:
+            if isinstance(swap, FileBackedSwap):
+                patch.setattr(swap.fs, "write_direct", _disk_error)
+            else:
+                patch.setattr(swap, "_charge_transfer", _disk_error)
+            with pytest.raises(OSError):
+                swap.write_slot(b"lost")
+        assert swap.slots_free == 2
+        assert [swap.write_slot(b"z") for _ in range(2)] == [0, 3]
+
+    def test_slots_free_is_exact_through_exhaustion(self, swap):
+        assert (swap.slots_free, swap.slots_used) == (4, 0)
+        slots = [swap.write_slot(b"x") for _ in range(3)]
+        swap.free_slot(slots[1])
+        assert (swap.slots_free, swap.slots_used) == (2, 2)
+        swap.write_slot(b"x")
+        swap.write_slot(b"x")
+        assert (swap.slots_free, swap.slots_used) == (0, 4)
+        with pytest.raises(ResourceShortageError):
+            swap.write_slot(b"full")
+        assert swap.slots_free == 0
+        swap.free_slot(3)
+        assert swap.slots_free == 1
+        assert swap.write_slot(b"x") == 3
+
+
+def _disk_error(*args, **kwargs):
+    raise OSError("disk error")
 
 
 class TestDefaultPager:
